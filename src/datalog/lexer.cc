@@ -1,6 +1,8 @@
 #include "datalog/lexer.h"
 
 #include <cctype>
+#include <charconv>
+#include <string>
 
 namespace ccpi {
 
@@ -58,7 +60,15 @@ Result<std::vector<Token>> Tokenize(std::string_view input) {
              std::isdigit(static_cast<unsigned char>(input[i]))) {
         ++i;
       }
-      int64_t num = std::stoll(std::string(input.substr(start, i - start)));
+      int64_t num = 0;
+      std::string_view digits = input.substr(start, i - start);
+      if (std::from_chars(digits.data(), digits.data() + digits.size(), num)
+              .ec != std::errc()) {
+        return Status::InvalidArgument(
+            "integer literal " + std::string(digits) +
+            " out of range at line " + std::to_string(line) + ", column " +
+            std::to_string(col));
+      }
       col += static_cast<int>(i - start);
       push(TokenKind::kInt, "", num);
       continue;

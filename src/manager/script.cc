@@ -1,7 +1,7 @@
 #include "manager/script.h"
 
+#include <algorithm>
 #include <memory>
-#include <optional>
 #include <sstream>
 
 #include "datalog/parser.h"
@@ -11,6 +11,15 @@
 namespace ccpi {
 
 namespace {
+
+// Caps that keep a typo from sizing per-site or per-lane state by the
+// billions (and aborting on the allocation); every shipped workload,
+// test and bench stays at 8 or below.
+constexpr uint64_t kMaxSites = 1024;
+constexpr uint64_t kMaxThreads = 256;
+// One day. The deadline is added to a nanosecond clock, which overflows
+// (undefined behaviour) past about 292 years.
+constexpr uint64_t kMaxDeadlineMs = 86'400'000;
 
 std::string Trim(const std::string& s) {
   size_t begin = s.find_first_not_of(" \t\r");
@@ -26,42 +35,237 @@ bool EndsWithContinuation(const std::string& line) {
   return line.size() >= 2 && line.substr(line.size() - 2) == ":-";
 }
 
+/// Splits a `sep`-separated list. False when the list or any element is
+/// empty: "p:0," has an empty last element and is malformed, not short.
+bool SplitList(std::string_view list, char sep,
+               std::vector<std::string_view>* out) {
+  out->clear();
+  while (true) {
+    size_t at = list.find(sep);
+    out->push_back(list.substr(0, at));
+    if (out->back().empty()) return false;
+    if (at == std::string_view::npos) return true;
+    list = list.substr(at + 1);
+  }
+}
+
+/// Splits "HEAD:rest" at the first colon; HEAD must be non-empty.
+bool SplitHead(std::string_view value, std::string_view* head,
+               std::string_view* rest) {
+  size_t colon = value.find(':');
+  if (colon == std::string_view::npos || colon == 0) return false;
+  *head = value.substr(0, colon);
+  *rest = value.substr(colon + 1);
+  return true;
+}
+
+/// Splits "S:rest" into a site index and the remainder; the per-site
+/// knobs all use this prefix.
+bool SplitSitePrefix(std::string_view value, size_t* site,
+                     std::string_view* rest) {
+  std::string_view head;
+  uint64_t s = 0;
+  if (!SplitHead(value, &head, rest) || !ParseUint64(head, &s)) return false;
+  *site = static_cast<size_t>(s);
+  return true;
+}
+
+/// Parses an outage window "A:B" over a trip counter, half-open [A, B).
+/// An inverted window would be a silent no-op, not an outage.
+bool ParseWindow(std::string_view value, OutageWindow* window) {
+  std::string_view head, rest;
+  uint64_t begin = 0, end = 0;
+  if (!SplitHead(value, &head, &rest) || !ParseUint64(head, &begin) ||
+      !ParseUint64(rest, &end) || begin > end) {
+    return false;
+  }
+  *window = OutageWindow{begin, end};
+  return true;
+}
+
 /// Parses a latency-model spec — "fixed:U", "uniform:LO:HI" or
-/// "twopoint:LO:HI:P" — shared by the `site_latency` directive and the
-/// --site-latency flag. Microsecond parameters must be >= 1 (a zero or
+/// "twopoint:LO:HI:P". Microsecond parameters must be >= 1 (a zero or
 /// negative latency is a config error, not a free network) and LO <= HI;
 /// P is a probability in [0,1].
 bool ParseLatencySpec(std::string_view spec, SiteLatencyOverride* out) {
   std::vector<std::string_view> parts;
-  while (true) {
-    size_t colon = spec.find(':');
-    parts.push_back(spec.substr(0, colon));
-    if (colon == std::string_view::npos) break;
-    spec = spec.substr(colon + 1);
-  }
+  if (!SplitList(spec, ':', &parts)) return false;
   SiteLatencyOverride o;
   if (parts[0] == "fixed" && parts.size() == 2) {
     o.model = LatencyModel::kFixed;
     if (!ParseUint64(parts[1], &o.fixed_us) || o.fixed_us == 0) return false;
-  } else if (parts[0] == "uniform" && parts.size() == 3) {
-    o.model = LatencyModel::kUniform;
+  } else {
+    if (parts[0] == "uniform" && parts.size() == 3) {
+      o.model = LatencyModel::kUniform;
+    } else if (parts[0] == "twopoint" && parts.size() == 4) {
+      o.model = LatencyModel::kTwoPoint;
+      if (!ParseProbability(parts[3], &o.slow_share)) return false;
+    } else {
+      return false;
+    }
     if (!ParseUint64(parts[1], &o.lo_us) ||
         !ParseUint64(parts[2], &o.hi_us) || o.lo_us == 0 ||
         o.lo_us > o.hi_us) {
       return false;
     }
-  } else if (parts[0] == "twopoint" && parts.size() == 4) {
-    o.model = LatencyModel::kTwoPoint;
-    if (!ParseUint64(parts[1], &o.lo_us) ||
-        !ParseUint64(parts[2], &o.hi_us) || o.lo_us == 0 ||
-        o.lo_us > o.hi_us || !ParseProbability(parts[3], &o.slow_share)) {
-      return false;
-    }
-  } else {
-    return false;
   }
   *out = o;
   return true;
+}
+
+/// "site_latency K SPEC" -> "K:SPEC". Any other word count yields the
+/// empty value, which the knob rejects.
+std::string LatencyWords(const std::vector<std::string>& w) {
+  return w.size() == 2 ? w[0] + ":" + w[1] : "";
+}
+
+/// "domain_outage NAME A B" -> "NAME:A:B", likewise.
+std::string OutageWords(const std::vector<std::string>& w) {
+  return w.size() == 3 ? w[0] + ":" + w[1] + ":" + w[2] : "";
+}
+
+/// "site K p q" -> "p:K,q:K". A word carrying the flag's own separators
+/// yields the empty (rejected) value instead of a list the directive
+/// never spelled.
+std::string PlacementWords(const std::vector<std::string>& words) {
+  std::string value;
+  for (size_t i = 0; i < words.size(); ++i) {
+    if (words[i].find_first_of(":,") != std::string::npos) return "";
+    if (i > 0) value += (i > 1 ? "," : "") + words[i] + ":" + words[0];
+  }
+  return value;
+}
+
+/// "domain N 0 1" -> "N:0+1", with the same separator guard.
+std::string DomainWords(const std::vector<std::string>& words) {
+  std::string value;
+  for (size_t i = 0; i < words.size(); ++i) {
+    if (words[i].find_first_of(":,+") != std::string::npos) return "";
+    value += (i == 0 ? "" : i == 1 ? ":" : "+") + words[i];
+  }
+  return value;
+}
+
+bool ApplyPlacement(std::string_view value, KnobForm,
+                    ScriptOptions* options) {
+  std::vector<std::string_view> pairs;
+  if (!SplitList(value, ',', &pairs)) return false;
+  std::map<std::string, size_t> placement = options->topology.placement;
+  for (std::string_view pair : pairs) {
+    std::string_view pred, site_text;
+    uint64_t site = 0;
+    if (!SplitHead(pair, &pred, &site_text) ||
+        !ParseUint64(site_text, &site)) {
+      return false;
+    }
+    placement[std::string(pred)] = static_cast<size_t>(site);
+  }
+  options->topology.placement = std::move(placement);
+  return true;
+}
+
+/// --domains=NAME:S0+S1,... replaces the domain list; each `domain` line
+/// appends one domain to it.
+bool ApplyDomains(std::string_view value, KnobForm form,
+                  ScriptOptions* options) {
+  std::vector<std::string_view> specs, members;
+  if (!SplitList(value, ',', &specs)) return false;
+  std::vector<FailureDomain> domains;
+  if (form == KnobForm::kDirective) domains = options->topology.domains;
+  for (std::string_view spec : specs) {
+    std::string_view name, member_list;
+    if (!SplitHead(spec, &name, &member_list) ||
+        !SplitList(member_list, '+', &members)) {
+      return false;
+    }
+    FailureDomain dom;
+    dom.name = std::string(name);
+    for (std::string_view member : members) {
+      uint64_t m = 0;
+      if (!ParseUint64(member, &m)) return false;
+      dom.members.push_back(static_cast<size_t>(m));
+    }
+    domains.push_back(std::move(dom));
+  }
+  options->topology.domains = std::move(domains);
+  return true;
+}
+
+/// Sets one optional field of a site's fault override from "S:VALUE".
+template <typename T>
+bool ApplySiteFault(std::string_view value, ScriptOptions* options,
+                    bool (*parse)(std::string_view, T*),
+                    std::optional<T> SiteFaultOverride::*field) {
+  size_t site = 0;
+  std::string_view rest;
+  T parsed{};
+  if (!SplitSitePrefix(value, &site, &rest) || !parse(rest, &parsed)) {
+    return false;
+  }
+  options->site_faults[site].*field = parsed;
+  options->enable_faults = true;
+  return true;
+}
+
+std::string_view Keyword(const Knob& knob) {
+  return knob.directive.substr(0, knob.directive.find(' '));
+}
+
+/// The knob spelled `name` in the given form, or null.
+const Knob* FindKnob(std::string_view name, KnobForm form) {
+  for (const Knob& knob : ScriptKnobs()) {
+    if ((form == KnobForm::kFlag ? knob.flag : Keyword(knob)) == name) {
+      return &knob;
+    }
+  }
+  return nullptr;
+}
+
+/// What the knob's value should look like, in the form the user typed.
+std::string Wants(const Knob& knob, KnobForm form) {
+  if (form == KnobForm::kDirective && knob.words_to_value != nullptr) {
+    return std::string(knob.directive.substr(Keyword(knob).size() + 1));
+  }
+  if (knob.metavar.empty()) return "no value";
+  if (knob.max == UINT64_MAX) return std::string(knob.wants);
+  return std::string(knob.wants) + " (at most " + std::to_string(knob.max) +
+         ")";
+}
+
+/// Parses `value` and applies it; false (options untouched) if malformed.
+bool ApplyKnob(const Knob& knob, std::string_view value, KnobForm form,
+               ScriptOptions* options) {
+  if (knob.set_uint != nullptr) {
+    uint64_t n = 0;
+    if (!ParseUint64(value, &n) || n < knob.min || n > knob.max) return false;
+    knob.set_uint(options, n);
+    return true;
+  }
+  if (knob.set_on_off != nullptr) {
+    if (value != "on" && value != "off") return false;
+    knob.set_on_off(options, value == "on");
+    return true;
+  }
+  return knob.apply(value, form, options);
+}
+
+/// Appends each named list of outage windows to its failure domain;
+/// `knob` heads the error for a name no domain carries.
+Status AttachDomainOutages(
+    const std::string& knob,
+    const std::map<std::string, std::vector<OutageWindow>>& outages,
+    std::vector<FailureDomain>* domains) {
+  for (const auto& [name, windows] : outages) {
+    auto dom = std::find_if(
+        domains->begin(), domains->end(),
+        [&name = name](const FailureDomain& d) { return d.name == name; });
+    if (dom == domains->end()) {
+      return Status::InvalidArgument(knob + " names undefined domain \"" +
+                                     name + "\"");
+    }
+    dom->outages.insert(dom->outages.end(), windows.begin(), windows.end());
+  }
+  return Status::OK();
 }
 
 /// Parses "pred(c1, c2, ...)" into a ground atom.
@@ -85,6 +289,298 @@ Result<std::pair<std::string, Tuple>> ParseGroundAtom(
 }
 
 }  // namespace
+
+const std::vector<Knob>& ScriptKnobs() {
+  using O = ScriptOptions;
+  static const std::vector<Knob> knobs = {
+      {.flag = "stats",
+       .help = "print retry/deferred/breaker statistics\n"
+               "(to stderr, with the rest of the summary)",
+       .apply = [](std::string_view, KnobForm, O* o) {
+         o->print_stats = true;
+         return true;
+       }},
+      {.flag = "threads",
+       .metavar = "N",
+       .wants = "a non-negative integer",
+       .help = "checker threads for the per-constraint\n"
+               "fan-out (default 1 = sequential; reports\n"
+               "are identical at any thread count)",
+       .max = kMaxThreads,
+       .set_uint = [](O* o, uint64_t n) { o->parallel.threads = n; }},
+      {.flag = "remote-cache",
+       .metavar = "on|off",
+       .wants = "on or off",
+       .help = "remote-read snapshot cache (default on;\n"
+               "semantically invisible — only the access\n"
+               "accounting changes)",
+       .set_on_off = [](O* o, bool on) { o->remote_cache.enabled = on; }},
+      {.flag = "plan-cache",
+       .metavar = "on|off",
+       .wants = "on or off",
+       .help = "compiled local-test plan cache (default on;\n"
+               "semantically invisible — reports and stats\n"
+               "are byte-identical either way)",
+       .directive = "plan_cache on|off",
+       .set_on_off = [](O* o, bool on) { o->plan_cache.enabled = on; }},
+      {.flag = "columnar",
+       .metavar = "on|off",
+       .wants = "on or off",
+       .help = "columnar read path: frozen relations carry\n"
+               "a columnar segment that the RA scan/join\n"
+               "kernels use (default on; semantically\n"
+               "invisible — reports and stats are\n"
+               "byte-identical either way)",
+       .set_on_off = [](O* o, bool on) { o->columnar = on; }},
+      {.flag = "pipeline-depth",
+       .metavar = "N",
+       .wants = "a positive integer",
+       .help = "episode pipeline depth (default 1 = serial;\n"
+               "N>1 speculates check phases ahead while\n"
+               "commits stay serialized in admission order,\n"
+               "so stdout is byte-identical at any depth)",
+       .directive = "pipeline N",
+       .min = 1,
+       .set_uint = [](O* o, uint64_t n) { o->pipeline.depth = n; }},
+      {.flag = "fault-rate",
+       .metavar = "P",
+       .wants = "a probability in [0,1]",
+       .section = "Fault injection (simulated remote-site failures):",
+       .help = "per-trip transient failure probability [0,1]",
+       .apply = [](std::string_view v, KnobForm, O* o) {
+         double p = 0;
+         if (!ParseProbability(v, &p)) return false;
+         o->faults.transient_rate = p;
+         o->enable_faults = true;
+         return true;
+       }},
+      {.flag = "fault-timeout-rate",
+       .metavar = "P",
+       .wants = "a probability in [0,1]",
+       .help = "per-trip timeout probability [0,1]",
+       .apply = [](std::string_view v, KnobForm, O* o) {
+         double p = 0;
+         if (!ParseProbability(v, &p)) return false;
+         o->faults.timeout_rate = p;
+         o->enable_faults = true;
+         return true;
+       }},
+      {.flag = "fault-outage",
+       .metavar = "A:B",
+       .wants = "A:B with integer trips, A <= B",
+       .help = "hard outage for remote trips A..B-1\n(repeatable)",
+       .apply = [](std::string_view v, KnobForm, O* o) {
+         OutageWindow w;
+         if (!ParseWindow(v, &w)) return false;
+         o->faults.outages.push_back(w);
+         o->enable_faults = true;
+         return true;
+       }},
+      {.flag = "fault-seed",
+       .metavar = "N",
+       .wants = "a non-negative integer",
+       .help = "RNG seed of the failure schedule (default 1)",
+       .set_uint = [](O* o, uint64_t n) { o->faults.seed = n; }},
+      {.flag = "fault-reject",
+       .help = "refuse undecided updates instead of applying\n"
+               "them optimistically with a deferred re-check",
+       .apply = [](std::string_view, KnobForm, O* o) {
+         o->resilience.on_unreachable = DeferredPolicy::kReject;
+         return true;
+       }},
+      {.flag = "sites",
+       .metavar = "N",
+       .wants = "a positive integer",
+       .section = "Topology (N remote sites, see docs/distsim.md):",
+       .help = "number of remote fault domains (default 1);\n"
+               "each site owns its own breaker, cache, and\n"
+               "failure schedule, and checks touching only\n"
+               "healthy sites keep completing during a\n"
+               "single-site outage",
+       .directive = "sites N",
+       .min = 1,
+       .max = kMaxSites,
+       .set_uint = [](O* o, uint64_t n) { o->topology.sites = n; }},
+      {.flag = "placement",
+       .metavar = "p:0,q:1",
+       .wants = "pred:site pairs like p:0,q:1",
+       .help = "pin remote predicates to sites; unpinned\n"
+               "predicates hash to a site deterministically",
+       .directive = "site K PRED...",
+       .words_to_value = PlacementWords,
+       .apply = ApplyPlacement},
+      {.flag = "site-fault-rate",
+       .metavar = "S:P",
+       .wants = "SITE:PROBABILITY",
+       .help = "per-site override of --fault-rate",
+       .apply = [](std::string_view v, KnobForm, O* o) {
+         return ApplySiteFault(v, o, ParseProbability,
+                               &SiteFaultOverride::transient_rate);
+       }},
+      {.flag = "site-fault-timeout-rate",
+       .metavar = "S:P",
+       .wants = "SITE:PROBABILITY",
+       .help = "per-site override of --fault-timeout-rate",
+       .apply = [](std::string_view v, KnobForm, O* o) {
+         return ApplySiteFault(v, o, ParseProbability,
+                               &SiteFaultOverride::timeout_rate);
+       }},
+      {.flag = "site-fault-outage",
+       .metavar = "S:A:B",
+       .wants = "SITE:A:B with trips A <= B",
+       .help = "outage for site S's trips A..B-1 (repeatable)",
+       .apply = [](std::string_view v, KnobForm, O* o) {
+         size_t site = 0;
+         std::string_view rest;
+         OutageWindow w;
+         if (!SplitSitePrefix(v, &site, &rest) || !ParseWindow(rest, &w)) {
+           return false;
+         }
+         o->site_faults[site].outages.push_back(w);
+         o->enable_faults = true;
+         return true;
+       }},
+      {.flag = "site-fault-seed",
+       .metavar = "S:N",
+       .wants = "SITE:SEED",
+       .help = "per-site override of the derived seed",
+       .apply = [](std::string_view v, KnobForm, O* o) {
+         return ApplySiteFault(v, o, ParseUint64, &SiteFaultOverride::seed);
+       }},
+      {.flag = "site-latency",
+       .metavar = "S:fixed:U | S:uniform:LO:HI | S:twopoint:LO:HI:P",
+       .wants = "SITE:fixed:U, SITE:uniform:LO:HI or "
+                "SITE:twopoint:LO:HI:P (microseconds >= 1, LO <= HI)",
+       .help = "per-site trip-latency model (microseconds,\n"
+               "all >= 1, LO <= HI; twopoint draws HI with\n"
+               "probability P, else LO; draws are\n"
+               "deterministic per seed; repeatable)",
+       .directive = "site_latency K fixed:U|uniform:LO:HI|twopoint:LO:HI:P",
+       .words_to_value = LatencyWords,
+       .apply = [](std::string_view v, KnobForm, O* o) {
+         size_t site = 0;
+         std::string_view rest;
+         SiteLatencyOverride latency;
+         if (!SplitSitePrefix(v, &site, &rest) ||
+             !ParseLatencySpec(rest, &latency)) {
+           return false;
+         }
+         o->topology.site_latency[site] = latency;
+         return true;
+       }},
+      {.flag = "hedge-after",
+       .metavar = "N",
+       .wants = "a non-negative EWMA multiple (0 = off)",
+       .help = "hedge a batched remote read whose drawn\n"
+               "latency exceeds N x the site's observed\n"
+               "EWMA with one deterministic backup trip\n"
+               "(0 = off, default; each issued hedge bills\n"
+               "one extra trip, tuples are counted once)",
+       .directive = "hedge_after N",
+       .set_uint = [](O* o, uint64_t n) { o->remote_cache.hedge_after = n; }},
+      {.flag = "domains",
+       .metavar = "NAME:S0+S1,...",
+       .wants = "NAME:S0+S1,... domain specs",
+       .help = "correlated failure domains; a site may\n"
+               "belong to at most one (replaces the\n"
+               "script's domain directives wholesale)",
+       .directive = "domain NAME S0 S1...",
+       .words_to_value = DomainWords,
+       .apply = ApplyDomains},
+      {.flag = "domain-outage",
+       .metavar = "NAME:A:B",
+       .wants = "NAME:A:B with trips A <= B",
+       .help = "outage for trips A..B of every member site\n"
+               "of NAME (repeatable; implies fault\n"
+               "injection)",
+       .directive = "domain_outage NAME A B",
+       .words_to_value = OutageWords,
+       .apply = [](std::string_view v, KnobForm, O* o) {
+         std::string_view name, rest;
+         OutageWindow w;
+         if (!SplitHead(v, &name, &rest) || !ParseWindow(rest, &w)) {
+           return false;
+         }
+         o->domain_outages[std::string(name)].push_back(w);
+         return true;
+       }},
+      {.flag = "deadline-ms",
+       .metavar = "N",
+       .wants = "a non-negative integer (0 = none)",
+       .section = "Execution budgets and overload control (see "
+                  "docs/budgets.md):",
+       .help = "wall-clock budget per update episode; checks\n"
+               "that would run past it are shed to the\n"
+               "deferred queue (0 = no deadline, default)",
+       .max = kMaxDeadlineMs,
+       .set_uint = [](O* o, uint64_t n) {
+         o->budget.per_episode.deadline_ms = n;
+       }},
+      {.flag = "max-fixpoint-rounds",
+       .metavar = "N",
+       .wants = "a non-negative integer (0 = unlimited)",
+       .help = "per-check cap on fixpoint rounds\n(0 = unlimited, default)",
+       .set_uint = [](O* o, uint64_t n) {
+         o->budget.per_check.max_fixpoint_rounds = n;
+       }},
+      {.flag = "max-derived-tuples",
+       .metavar = "N",
+       .wants = "a non-negative integer (0 = unlimited)",
+       .help = "per-check cap on derived tuples\n(0 = unlimited, default)",
+       .set_uint = [](O* o, uint64_t n) {
+         o->budget.per_check.max_derived_tuples = n;
+       }},
+      {.flag = "deferred-queue-cap",
+       .metavar = "N",
+       .wants = "a non-negative integer (0 = unbounded)",
+       .help = "bound on queued deferred re-checks\n(0 = unbounded, default)",
+       .set_uint = [](O* o, uint64_t n) {
+         o->budget.deferred_queue_cap = n;
+       }},
+      {.flag = "overflow-policy",
+       .metavar = "P",
+       .wants = "reject-update, shed-oldest or block-recheck",
+       .help = "reject-update | shed-oldest | block-recheck:\n"
+               "what to do when the queue cap is hit\n"
+               "(default reject-update)",
+       .apply = [](std::string_view v, KnobForm, O* o) {
+         if (v == "reject-update") {
+           o->budget.overflow = OverflowPolicy::kRejectUpdate;
+         } else if (v == "shed-oldest") {
+           o->budget.overflow = OverflowPolicy::kShedOldest;
+         } else if (v == "block-recheck") {
+           o->budget.overflow = OverflowPolicy::kBlockRecheck;
+         } else {
+           return false;
+         }
+         return true;
+       }},
+  };
+  return knobs;
+}
+
+std::string ScriptKnobsHelp() {
+  constexpr size_t kTextColumn = 26;
+  const std::string indent(kTextColumn, ' ');
+  std::string help;
+  for (const Knob& knob : ScriptKnobs()) {
+    if (!knob.section.empty()) help += "\n" + std::string(knob.section) + "\n";
+    std::string name = "  --" + std::string(knob.flag);
+    if (!knob.metavar.empty()) name += "=" + std::string(knob.metavar);
+    // A name too long for the column gets the text on the next line.
+    help += name.size() < kTextColumn
+                ? name + std::string(kTextColumn - name.size(), ' ')
+                : name + "\n" + indent;
+    for (char c : knob.help) {
+      help += c == '\n' ? "\n" + indent : std::string(1, c);
+    }
+    if (!knob.directive.empty()) {
+      help += "\n" + indent + "(script: " + std::string(knob.directive) + ")";
+    }
+    help += "\n";
+  }
+  return help;
+}
 
 Result<Script> ParseScript(std::string_view text) {
   Script script;
@@ -129,136 +625,6 @@ Result<Script> ParseScript(std::string_view text) {
       CCPI_RETURN_IF_ERROR(flush_constraint());
       std::string pred;
       while (ls >> pred) script.local_preds.insert(pred);
-    } else if (keyword == "sites") {
-      CCPI_RETURN_IF_ERROR(flush_constraint());
-      uint64_t n = 0;
-      if (!ParseUint64(rest, &n) || n == 0) {
-        return Status::InvalidArgument(
-            "line " + std::to_string(line_number) +
-            ": sites wants a positive integer, got \"" + rest + "\"");
-      }
-      script.topology.sites = static_cast<size_t>(n);
-    } else if (keyword == "site") {
-      // "site K p q ..." pins remote predicates p, q to site K.
-      CCPI_RETURN_IF_ERROR(flush_constraint());
-      std::string index_text;
-      ls >> index_text;
-      uint64_t index = 0;
-      if (!ParseUint64(index_text, &index)) {
-        return Status::InvalidArgument(
-            "line " + std::to_string(line_number) +
-            ": site wants an index then predicates, got \"" + rest + "\"");
-      }
-      std::string pred;
-      size_t pinned = 0;
-      while (ls >> pred) {
-        script.topology.placement[pred] = static_cast<size_t>(index);
-        ++pinned;
-      }
-      if (pinned == 0) {
-        return Status::InvalidArgument(
-            "line " + std::to_string(line_number) +
-            ": site " + index_text + " pins no predicates");
-      }
-    } else if (keyword == "site_latency") {
-      // "site_latency K SPEC" gives site K its own latency model.
-      CCPI_RETURN_IF_ERROR(flush_constraint());
-      std::string index_text, spec;
-      ls >> index_text >> spec;
-      uint64_t index = 0;
-      SiteLatencyOverride o;
-      if (!ParseUint64(index_text, &index) || spec.empty() ||
-          !ParseLatencySpec(spec, &o)) {
-        return Status::InvalidArgument(
-            "line " + std::to_string(line_number) +
-            ": site_latency wants SITE then fixed:U, uniform:LO:HI or "
-            "twopoint:LO:HI:P (microseconds >= 1, LO <= HI), got \"" +
-            rest + "\"");
-      }
-      script.topology.site_latency[static_cast<size_t>(index)] = o;
-    } else if (keyword == "domain") {
-      // "domain NAME S1 S2 ..." declares a correlated failure domain.
-      CCPI_RETURN_IF_ERROR(flush_constraint());
-      std::string name;
-      ls >> name;
-      FailureDomain dom;
-      dom.name = name;
-      std::string member_text;
-      while (ls >> member_text) {
-        uint64_t m = 0;
-        if (!ParseUint64(member_text, &m)) {
-          return Status::InvalidArgument(
-              "line " + std::to_string(line_number) +
-              ": domain wants NAME then member site indices, got \"" +
-              rest + "\"");
-        }
-        dom.members.push_back(static_cast<size_t>(m));
-      }
-      if (name.empty() || dom.members.empty()) {
-        return Status::InvalidArgument(
-            "line " + std::to_string(line_number) +
-            ": domain wants NAME then at least one member site, got \"" +
-            rest + "\"");
-      }
-      script.topology.domains.push_back(std::move(dom));
-    } else if (keyword == "domain_outage") {
-      // "domain_outage NAME A B" darkens every member of NAME for the
-      // half-open trip window [A, B), same convention as --fault-outage.
-      // The domain must be declared above.
-      CCPI_RETURN_IF_ERROR(flush_constraint());
-      std::string name, begin_text, end_text;
-      ls >> name >> begin_text >> end_text;
-      uint64_t begin = 0, end = 0;
-      if (name.empty() || !ParseUint64(begin_text, &begin) ||
-          !ParseUint64(end_text, &end) || begin > end) {
-        // An inverted window would be a silent no-op, not an outage.
-        return Status::InvalidArgument(
-            "line " + std::to_string(line_number) +
-            ": domain_outage wants NAME A B with trips A <= B, got \"" +
-            rest + "\"");
-      }
-      bool found = false;
-      for (FailureDomain& dom : script.topology.domains) {
-        if (dom.name != name) continue;
-        dom.outages.push_back(OutageWindow{begin, end});
-        found = true;
-        break;
-      }
-      if (!found) {
-        return Status::InvalidArgument(
-            "line " + std::to_string(line_number) +
-            ": domain_outage names undefined domain \"" + name + "\"");
-      }
-    } else if (keyword == "hedge_after") {
-      CCPI_RETURN_IF_ERROR(flush_constraint());
-      uint64_t n = 0;
-      if (!ParseUint64(rest, &n)) {
-        return Status::InvalidArgument(
-            "line " + std::to_string(line_number) +
-            ": hedge_after wants a non-negative EWMA multiple (0 = off), "
-            "got \"" + rest + "\"");
-      }
-      script.hedge_after = n;
-    } else if (keyword == "plan_cache") {
-      CCPI_RETURN_IF_ERROR(flush_constraint());
-      if (rest == "on") {
-        script.plan_cache = true;
-      } else if (rest == "off") {
-        script.plan_cache = false;
-      } else {
-        return Status::InvalidArgument(
-            "line " + std::to_string(line_number) +
-            ": plan_cache wants on or off, got \"" + rest + "\"");
-      }
-    } else if (keyword == "pipeline") {
-      CCPI_RETURN_IF_ERROR(flush_constraint());
-      uint64_t n = 0;
-      if (!ParseUint64(rest, &n) || n == 0) {
-        return Status::InvalidArgument(
-            "line " + std::to_string(line_number) +
-            ": pipeline wants a positive depth, got \"" + rest + "\"");
-      }
-      script.pipeline_depth = static_cast<size_t>(n);
     } else if (keyword == "constraint") {
       CCPI_RETURN_IF_ERROR(flush_constraint());
       if (rest.empty()) {
@@ -277,6 +643,25 @@ Result<Script> ParseScript(std::string_view text) {
       script.updates.push_back(keyword == "insert"
                                    ? Update::Insert(atom.first, atom.second)
                                    : Update::Delete(atom.first, atom.second));
+    } else if (const Knob* knob = FindKnob(keyword, KnobForm::kDirective)) {
+      CCPI_RETURN_IF_ERROR(flush_constraint());
+      std::vector<std::string> words;
+      for (std::string word; ls >> word;) words.push_back(word);
+      std::string value =
+          knob->words_to_value != nullptr ? knob->words_to_value(words) : rest;
+      std::string where = "line " + std::to_string(line_number) + ": " +
+                          keyword;
+      if (!ApplyKnob(*knob, value, KnobForm::kDirective, &script.options)) {
+        return Status::InvalidArgument(where + " wants " +
+                                       Wants(*knob, KnobForm::kDirective) +
+                                       ", got \"" + rest + "\"");
+      }
+      // A `domain_outage` line attaches to a domain declared above it.
+      Status attached =
+          AttachDomainOutages(where, script.options.domain_outages,
+                              &script.options.topology.domains);
+      script.options.domain_outages.clear();
+      CCPI_RETURN_IF_ERROR(attached);
     } else {
       // A rule line of the current constraint.
       if (current_name.empty()) {
@@ -289,404 +674,50 @@ Result<Script> ParseScript(std::string_view text) {
     }
   }
   CCPI_RETURN_IF_ERROR(flush_constraint());
-  for (const auto& [pred, s] : script.topology.placement) {
-    if (s >= script.topology.sites) {
-      return Status::InvalidArgument(
-          "site " + std::to_string(s) + " pins predicate " + pred +
-          " but the script declares only " +
-          std::to_string(script.topology.sites) + " site(s)");
-    }
-  }
-  // Directive order is free (`sites` may follow `domain`), so domain and
-  // latency site indices are checked here, like placement above.
-  std::set<std::string> domain_names;
-  std::set<size_t> claimed;
-  for (const FailureDomain& dom : script.topology.domains) {
-    if (!domain_names.insert(dom.name).second) {
-      return Status::InvalidArgument("domain \"" + dom.name +
-                                     "\" is declared twice");
-    }
-    for (size_t member : dom.members) {
-      if (member >= script.topology.sites) {
-        return Status::InvalidArgument(
-            "domain \"" + dom.name + "\" claims site " +
-            std::to_string(member) + " but the script declares only " +
-            std::to_string(script.topology.sites) + " site(s)");
-      }
-      if (!claimed.insert(member).second) {
-        return Status::InvalidArgument(
-            "site " + std::to_string(member) +
-            " is a member of two failure domains");
-      }
-    }
-  }
-  for (const auto& [site, o] : script.topology.site_latency) {
-    (void)o;
-    if (site >= script.topology.sites) {
-      return Status::InvalidArgument(
-          "site_latency names site " + std::to_string(site) +
-          " but the script declares only " +
-          std::to_string(script.topology.sites) + " site(s)");
-    }
-  }
+  // Directive order is free (`sites` may follow `site`), so cross-knob
+  // rules are checked once the whole script is in.
+  CCPI_RETURN_IF_ERROR(ValidateScriptOptions(script.options));
   return script;
 }
 
-namespace {
-
-/// "--name=value" accessor: if `arg` starts with "--<name>=", returns the
-/// value part; otherwise nullopt.
-std::optional<std::string_view> FlagValue(std::string_view arg,
-                                          std::string_view name) {
-  if (arg.size() < name.size() + 3 || arg.substr(0, 2) != "--") {
-    return std::nullopt;
-  }
-  if (arg.substr(2, name.size()) != name) return std::nullopt;
-  if (arg[2 + name.size()] != '=') return std::nullopt;
-  return arg.substr(name.size() + 3);
-}
-
-Status BadFlag(std::string_view name, std::string_view wants,
-               std::string_view got) {
-  return Status::InvalidArgument("--" + std::string(name) + " wants " +
-                                 std::string(wants) + ", got \"" +
-                                 std::string(got) + "\"");
-}
-
-/// Splits "S:rest" into a site index and the remainder; the --site-fault-*
-/// flags all use this prefix.
-bool SplitSitePrefix(std::string_view value, size_t* site,
-                     std::string_view* rest) {
-  size_t colon = value.find(':');
-  if (colon == std::string_view::npos) return false;
-  uint64_t s = 0;
-  if (!ParseUint64(value.substr(0, colon), &s)) return false;
-  *site = static_cast<size_t>(s);
-  *rest = value.substr(colon + 1);
-  return true;
-}
-
-}  // namespace
-
 Status ApplyScriptFlag(std::string_view arg, ScriptOptions* options,
                        bool* matched) {
-  *matched = true;
-  if (auto v = FlagValue(arg, "threads")) {
-    uint64_t n = 0;
-    if (!ParseUint64(*v, &n)) {
-      return BadFlag("threads", "a non-negative integer", *v);
-    }
-    options->parallel.threads = static_cast<size_t>(n);
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "remote-cache")) {
-    if (*v == "on") {
-      options->remote_cache.enabled = true;
-    } else if (*v == "off") {
-      options->remote_cache.enabled = false;
-    } else {
-      return BadFlag("remote-cache", "on or off", *v);
-    }
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "plan-cache")) {
-    if (*v == "on") {
-      options->plan_cache.enabled = true;
-    } else if (*v == "off") {
-      options->plan_cache.enabled = false;
-    } else {
-      return BadFlag("plan-cache", "on or off", *v);
-    }
-    options->plan_cache_from_flags = true;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "columnar")) {
-    if (*v == "on") {
-      options->columnar = true;
-    } else if (*v == "off") {
-      options->columnar = false;
-    } else {
-      return BadFlag("columnar", "on or off", *v);
-    }
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "pipeline-depth")) {
-    uint64_t n = 0;
-    if (!ParseUint64(*v, &n) || n == 0) {
-      return BadFlag("pipeline-depth", "a positive integer", *v);
-    }
-    options->pipeline.depth = static_cast<size_t>(n);
-    options->pipeline_from_flags = true;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "fault-rate")) {
-    double rate = 0;
-    if (!ParseProbability(*v, &rate)) {
-      return BadFlag("fault-rate", "a probability in [0,1]", *v);
-    }
-    options->faults.transient_rate = rate;
-    options->enable_faults = true;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "fault-timeout-rate")) {
-    double rate = 0;
-    if (!ParseProbability(*v, &rate)) {
-      return BadFlag("fault-timeout-rate", "a probability in [0,1]", *v);
-    }
-    options->faults.timeout_rate = rate;
-    options->enable_faults = true;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "fault-seed")) {
-    uint64_t n = 0;
-    if (!ParseUint64(*v, &n)) {
-      return BadFlag("fault-seed", "a non-negative integer", *v);
-    }
-    options->faults.seed = n;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "fault-outage")) {
-    size_t colon = v->find(':');
-    uint64_t begin = 0, end = 0;
-    if (colon == std::string_view::npos ||
-        !ParseUint64(v->substr(0, colon), &begin) ||
-        !ParseUint64(v->substr(colon + 1), &end) || begin > end) {
-      // An inverted window would be a silent no-op, not an outage.
-      return BadFlag("fault-outage", "A:B with integer trips, A <= B", *v);
-    }
-    options->faults.outages.push_back(OutageWindow{begin, end});
-    options->enable_faults = true;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "deadline-ms")) {
-    uint64_t n = 0;
-    if (!ParseUint64(*v, &n)) {
-      return BadFlag("deadline-ms", "a non-negative integer (0 = none)", *v);
-    }
-    options->budget.per_episode.deadline_ms = n;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "max-fixpoint-rounds")) {
-    uint64_t n = 0;
-    if (!ParseUint64(*v, &n)) {
-      return BadFlag("max-fixpoint-rounds",
-                     "a non-negative integer (0 = unlimited)", *v);
-    }
-    options->budget.per_check.max_fixpoint_rounds = n;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "max-derived-tuples")) {
-    uint64_t n = 0;
-    if (!ParseUint64(*v, &n)) {
-      return BadFlag("max-derived-tuples",
-                     "a non-negative integer (0 = unlimited)", *v);
-    }
-    options->budget.per_check.max_derived_tuples = n;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "deferred-queue-cap")) {
-    uint64_t n = 0;
-    if (!ParseUint64(*v, &n)) {
-      return BadFlag("deferred-queue-cap",
-                     "a non-negative integer (0 = unbounded)", *v);
-    }
-    options->budget.deferred_queue_cap = static_cast<size_t>(n);
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "overflow-policy")) {
-    if (*v == "reject-update") {
-      options->budget.overflow = OverflowPolicy::kRejectUpdate;
-    } else if (*v == "shed-oldest") {
-      options->budget.overflow = OverflowPolicy::kShedOldest;
-    } else if (*v == "block-recheck") {
-      options->budget.overflow = OverflowPolicy::kBlockRecheck;
-    } else {
-      return BadFlag("overflow-policy",
-                     "reject-update, shed-oldest or block-recheck", *v);
-    }
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "sites")) {
-    uint64_t n = 0;
-    if (!ParseUint64(*v, &n) || n == 0) {
-      return BadFlag("sites", "a positive integer", *v);
-    }
-    options->topology.sites = static_cast<size_t>(n);
-    options->topology_from_flags = true;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "placement")) {
-    // "p:0,q:1" — comma-separated predicate:site pairs.
-    std::string_view remaining = *v;
-    while (!remaining.empty()) {
-      size_t comma = remaining.find(',');
-      std::string_view pair = remaining.substr(0, comma);
-      remaining = comma == std::string_view::npos
-                      ? std::string_view{}
-                      : remaining.substr(comma + 1);
-      size_t colon = pair.find(':');
-      uint64_t s = 0;
-      if (colon == std::string_view::npos || colon == 0 ||
-          !ParseUint64(pair.substr(colon + 1), &s)) {
-        return BadFlag("placement", "pred:site pairs like p:0,q:1", *v);
-      }
-      options->topology.placement[std::string(pair.substr(0, colon))] =
-          static_cast<size_t>(s);
-    }
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "site-fault-rate")) {
-    size_t site = 0;
-    std::string_view rest;
-    double rate = 0;
-    if (!SplitSitePrefix(*v, &site, &rest) ||
-        !ParseProbability(rest, &rate)) {
-      return BadFlag("site-fault-rate", "SITE:PROBABILITY", *v);
-    }
-    options->site_faults[site].transient_rate = rate;
-    options->enable_faults = true;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "site-fault-timeout-rate")) {
-    size_t site = 0;
-    std::string_view rest;
-    double rate = 0;
-    if (!SplitSitePrefix(*v, &site, &rest) ||
-        !ParseProbability(rest, &rate)) {
-      return BadFlag("site-fault-timeout-rate", "SITE:PROBABILITY", *v);
-    }
-    options->site_faults[site].timeout_rate = rate;
-    options->enable_faults = true;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "site-fault-seed")) {
-    size_t site = 0;
-    std::string_view rest;
-    uint64_t n = 0;
-    if (!SplitSitePrefix(*v, &site, &rest) || !ParseUint64(rest, &n)) {
-      return BadFlag("site-fault-seed", "SITE:SEED", *v);
-    }
-    options->site_faults[site].seed = n;
-    options->enable_faults = true;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "site-fault-outage")) {
-    size_t site = 0;
-    std::string_view rest;
-    if (!SplitSitePrefix(*v, &site, &rest)) {
-      return BadFlag("site-fault-outage", "SITE:A:B with trips A <= B", *v);
-    }
-    size_t colon = rest.find(':');
-    uint64_t begin = 0, end = 0;
-    if (colon == std::string_view::npos ||
-        !ParseUint64(rest.substr(0, colon), &begin) ||
-        !ParseUint64(rest.substr(colon + 1), &end) || begin > end) {
-      return BadFlag("site-fault-outage", "SITE:A:B with trips A <= B", *v);
-    }
-    options->site_faults[site].outages.push_back(OutageWindow{begin, end});
-    options->enable_faults = true;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "site-latency")) {
-    size_t site = 0;
-    std::string_view rest;
-    SiteLatencyOverride o;
-    if (!SplitSitePrefix(*v, &site, &rest) || !ParseLatencySpec(rest, &o)) {
-      return BadFlag("site-latency",
-                     "SITE:fixed:U, SITE:uniform:LO:HI or "
-                     "SITE:twopoint:LO:HI:P (microseconds >= 1, LO <= HI)",
-                     *v);
-    }
-    options->topology.site_latency[site] = o;
-    options->site_latency_from_flags = true;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "hedge-after")) {
-    uint64_t n = 0;
-    if (!ParseUint64(*v, &n)) {
-      return BadFlag("hedge-after", "a non-negative EWMA multiple (0 = off)",
-                     *v);
-    }
-    options->remote_cache.hedge_after = n;
-    options->hedge_from_flags = true;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "domains")) {
-    // "NAME:S0+S1,NAME2:S2" — comma-separated domains, '+'-separated
-    // member sites. Replaces the script's `domain` directives wholesale.
-    std::vector<FailureDomain> domains;
-    std::string_view remaining = *v;
-    while (!remaining.empty()) {
-      size_t comma = remaining.find(',');
-      std::string_view spec = remaining.substr(0, comma);
-      remaining = comma == std::string_view::npos
-                      ? std::string_view{}
-                      : remaining.substr(comma + 1);
-      size_t colon = spec.find(':');
-      if (colon == std::string_view::npos || colon == 0) {
-        return BadFlag("domains", "NAME:S0+S1,... domain specs", *v);
-      }
-      FailureDomain dom;
-      dom.name = std::string(spec.substr(0, colon));
-      std::string_view members = spec.substr(colon + 1);
-      while (!members.empty()) {
-        size_t plus = members.find('+');
-        uint64_t m = 0;
-        if (!ParseUint64(members.substr(0, plus), &m)) {
-          return BadFlag("domains", "NAME:S0+S1,... domain specs", *v);
-        }
-        dom.members.push_back(static_cast<size_t>(m));
-        members = plus == std::string_view::npos ? std::string_view{}
-                                                 : members.substr(plus + 1);
-      }
-      if (dom.members.empty()) {
-        return BadFlag("domains", "NAME:S0+S1,... domain specs", *v);
-      }
-      domains.push_back(std::move(dom));
-    }
-    if (domains.empty()) {
-      return BadFlag("domains", "NAME:S0+S1,... domain specs", *v);
-    }
-    options->topology.domains = std::move(domains);
-    options->domains_from_flags = true;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "domain-outage")) {
-    size_t colon = v->find(':');
-    uint64_t begin = 0, end = 0;
-    if (colon == std::string_view::npos || colon == 0) {
-      return BadFlag("domain-outage", "NAME:A:B with trips A <= B", *v);
-    }
-    std::string_view rest = v->substr(colon + 1);
-    size_t colon2 = rest.find(':');
-    if (colon2 == std::string_view::npos ||
-        !ParseUint64(rest.substr(0, colon2), &begin) ||
-        !ParseUint64(rest.substr(colon2 + 1), &end) || begin > end) {
-      // An inverted window would be a silent no-op, not an outage.
-      return BadFlag("domain-outage", "NAME:A:B with trips A <= B", *v);
-    }
-    options->domain_outages[std::string(v->substr(0, colon))].push_back(
-        OutageWindow{begin, end});
-    return Status::OK();
-  }
-  if (arg == "--fault-reject") {
-    options->resilience.on_unreachable = DeferredPolicy::kReject;
-    return Status::OK();
-  }
-  if (arg == "--stats") {
-    options->print_stats = true;
-    return Status::OK();
-  }
   *matched = false;
+  if (arg.substr(0, 2) != "--") return Status::OK();
+  std::string_view body = arg.substr(2);
+  size_t eq = body.find('=');
+  std::string_view name = body.substr(0, eq);
+  const Knob* knob = FindKnob(name, KnobForm::kFlag);
+  if (knob == nullptr) return Status::OK();
+  *matched = true;
+  // A bare switch takes no value; every other flag needs one.
+  bool has_value = eq != std::string_view::npos;
+  std::string_view value = has_value ? body.substr(eq + 1) : "";
+  if (has_value == knob->metavar.empty() ||
+      !ApplyKnob(*knob, value, KnobForm::kFlag, options)) {
+    return Status::InvalidArgument("--" + std::string(name) + " wants " +
+                                   Wants(*knob, KnobForm::kFlag) + ", got \"" +
+                                   std::string(value) + "\"");
+  }
   return Status::OK();
 }
 
 Status ValidateScriptOptions(const ScriptOptions& options) {
+  // Messages name both spellings of a knob: the value may have come from
+  // a directive, a flag, or (for the count) one of each.
+  const TopologyConfig& topology = options.topology;
+  auto site_in_range = [&](size_t site, const std::string& who) {
+    if (site < topology.sites) return Status::OK();
+    return Status::InvalidArgument(who + " site " + std::to_string(site) +
+                                   " but sites/--sites is " +
+                                   std::to_string(topology.sites));
+  };
   if (options.faults.transient_rate + options.faults.timeout_rate > 1.0) {
     return Status::InvalidArgument(
         "--fault-rate and --fault-timeout-rate must sum to <= 1");
   }
   for (const auto& [site, o] : options.site_faults) {
+    CCPI_RETURN_IF_ERROR(site_in_range(site, "--site-fault-* names"));
     double transient =
         o.transient_rate.value_or(options.faults.transient_rate);
     double timeout = o.timeout_rate.value_or(options.faults.timeout_rate);
@@ -696,179 +727,47 @@ Status ValidateScriptOptions(const ScriptOptions& options) {
           ": effective fault rates must sum to <= 1");
     }
   }
-  if (options.topology_from_flags) {
-    for (const auto& [pred, s] : options.topology.placement) {
-      if (s >= options.topology.sites) {
-        return Status::InvalidArgument(
-            "--placement pins " + pred + " to site " + std::to_string(s) +
-            " but --sites=" + std::to_string(options.topology.sites));
-      }
-    }
-    for (const auto& [site, o] : options.site_faults) {
-      (void)o;
-      if (site >= options.topology.sites) {
-        return Status::InvalidArgument(
-            "--site-fault-* names site " + std::to_string(site) +
-            " but --sites=" + std::to_string(options.topology.sites));
-      }
-    }
-    for (const auto& [site, o] : options.topology.site_latency) {
-      (void)o;
-      if (site >= options.topology.sites) {
-        return Status::InvalidArgument(
-            "--site-latency names site " + std::to_string(site) +
-            " but --sites=" + std::to_string(options.topology.sites));
-      }
-    }
-  }
-  std::set<std::string> domain_names;
-  std::set<size_t> claimed;
-  for (const FailureDomain& dom : options.topology.domains) {
-    if (!domain_names.insert(dom.name).second) {
-      return Status::InvalidArgument("--domains defines domain \"" +
-                                     dom.name + "\" twice");
-    }
-    for (size_t member : dom.members) {
-      if (!claimed.insert(member).second) {
-        return Status::InvalidArgument(
-            "--domains puts site " + std::to_string(member) +
-            " in two failure domains");
-      }
-      if (options.topology_from_flags && member >= options.topology.sites) {
-        return Status::InvalidArgument(
-            "--domains claims site " + std::to_string(member) +
-            " but --sites=" + std::to_string(options.topology.sites));
-      }
-    }
-  }
-  if (options.domains_from_flags) {
-    for (const auto& [name, windows] : options.domain_outages) {
-      (void)windows;
-      if (domain_names.find(name) == domain_names.end()) {
-        return Status::InvalidArgument(
-            "--domain-outage names domain \"" + name +
-            "\" but --domains does not define it");
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Result<ScriptReport> RunScript(const Script& script, const CostModel& costs) {
-  ScriptOptions options;
-  options.costs = costs;
-  return RunScript(script, options);
-}
-
-Result<ScriptReport> RunScript(const Script& script,
-                               const ScriptOptions& options) {
-  const CostModel& costs = options.costs;
-  // Effective topology: the script's directives, overridden field-wise by
-  // the command line (--sites replaces the count; --placement entries win
-  // per predicate).
-  TopologyConfig topology = script.topology;
-  if (options.topology_from_flags) topology.sites = options.topology.sites;
-  for (const auto& [pred, s] : options.topology.placement) {
-    topology.placement[pred] = s;
-  }
-  for (const auto& [pred, s] : topology.placement) {
-    if (s >= topology.sites) {
-      return Status::InvalidArgument(
-          "placement pins " + pred + " to site " + std::to_string(s) +
-          " but the topology has " + std::to_string(topology.sites) +
-          " site(s)");
-    }
-  }
-  for (const auto& [site, o] : options.site_faults) {
-    (void)o;
-    if (site >= topology.sites) {
-      return Status::InvalidArgument(
-          "--site-fault-* names site " + std::to_string(site) +
-          " but the topology has " + std::to_string(topology.sites) +
-          " site(s)");
-    }
-  }
-  // Per-site latency models: flag entries override the script's
-  // site-wise. Failure domains: --domains replaces the script's
-  // wholesale, then --domain-outage windows attach to the effective
-  // domains by name.
-  for (const auto& [site, o] : options.topology.site_latency) {
-    topology.site_latency[site] = o;
-  }
-  if (options.domains_from_flags) topology.domains = options.topology.domains;
-  for (const auto& [name, windows] : options.domain_outages) {
-    FailureDomain* dom = nullptr;
-    for (FailureDomain& d : topology.domains) {
-      if (d.name == name) {
-        dom = &d;
-        break;
-      }
-    }
-    if (dom == nullptr) {
-      return Status::InvalidArgument(
-          "--domain-outage names domain \"" + name +
-          "\" but the effective topology does not define it");
-    }
-    dom->outages.insert(dom->outages.end(), windows.begin(), windows.end());
-  }
-  // Re-validate the merged topology (script domains may now pair with
-  // --sites, or vice versa) so a bad combination is a graceful error,
-  // not a Topology-constructor CHECK failure.
-  {
-    std::set<std::string> names;
-    std::set<size_t> claimed;
-    for (const FailureDomain& dom : topology.domains) {
-      if (!names.insert(dom.name).second) {
-        return Status::InvalidArgument("failure domain \"" + dom.name +
-                                       "\" is defined twice");
-      }
-      for (size_t member : dom.members) {
-        if (member >= topology.sites) {
-          return Status::InvalidArgument(
-              "failure domain \"" + dom.name + "\" claims site " +
-              std::to_string(member) + " but the topology has " +
-              std::to_string(topology.sites) + " site(s)");
-        }
-        if (!claimed.insert(member).second) {
-          return Status::InvalidArgument(
-              "site " + std::to_string(member) +
-              " is a member of two failure domains");
-        }
-      }
-    }
+  for (const auto& [pred, site] : topology.placement) {
+    CCPI_RETURN_IF_ERROR(
+        site_in_range(site, "site/--placement pins " + pred + " to"));
   }
   for (const auto& [site, o] : topology.site_latency) {
-    (void)o;
-    if (site >= topology.sites) {
-      return Status::InvalidArgument(
-          "site_latency names site " + std::to_string(site) +
-          " but the topology has " + std::to_string(topology.sites) +
-          " site(s)");
+    CCPI_RETURN_IF_ERROR(
+        site_in_range(site, "site_latency/--site-latency names"));
+  }
+  std::set<std::string> names;
+  std::set<size_t> claimed;
+  for (const FailureDomain& dom : topology.domains) {
+    std::string who = "domain/--domains \"" + dom.name + "\"";
+    if (!names.insert(dom.name).second) {
+      return Status::InvalidArgument(who + " is declared twice");
+    }
+    for (size_t member : dom.members) {
+      CCPI_RETURN_IF_ERROR(site_in_range(member, who + " claims"));
+      if (!claimed.insert(member).second) {
+        return Status::InvalidArgument(
+            "site " + std::to_string(member) +
+            " is a member of two failure domains");
+      }
     }
   }
+  std::vector<FailureDomain> domains = topology.domains;
+  return AttachDomainOutages("--domain-outage", options.domain_outages,
+                             &domains);
+}
 
-  // Effective plan-cache switch: an explicit --plan-cache flag wins over
-  // the script's own directive, which wins over the default (on).
-  PlanCacheConfig plan_cache = options.plan_cache;
-  if (!options.plan_cache_from_flags && script.plan_cache.has_value()) {
-    plan_cache.enabled = *script.plan_cache;
-  }
-
-  // Effective pipeline depth: an explicit --pipeline-depth flag wins over
-  // the script's own `pipeline` directive, which wins over the default
-  // (1 = serial).
-  PipelineConfig pipeline = options.pipeline;
-  if (!options.pipeline_from_flags && script.pipeline_depth.has_value()) {
-    pipeline.depth = *script.pipeline_depth;
-  }
-
-  // Effective hedging threshold: an explicit --hedge-after flag wins over
-  // the script's own `hedge_after` directive, which wins over the default
-  // (0 = off).
-  RemoteCacheConfig remote_cache = options.remote_cache;
-  if (!options.hedge_from_flags && script.hedge_after.has_value()) {
-    remote_cache.hedge_after = *script.hedge_after;
-  }
+Result<ScriptReport> RunScript(const Script& script) {
+  const ScriptOptions& options = script.options;
+  const CostModel& costs = options.costs;
+  // Validating here too turns a bad hand-built configuration into a
+  // graceful error, not a Topology-constructor CHECK failure.
+  CCPI_RETURN_IF_ERROR(ValidateScriptOptions(options));
+  // --domain-outage windows attach by name only now, after every flag is
+  // applied, so flag order never matters.
+  TopologyConfig topology = options.topology;
+  CCPI_RETURN_IF_ERROR(
+      AttachDomainOutages("--domain-outage", options.domain_outages,
+                          &topology.domains));
 
   // Columnar read path: a process-wide switch on Relation, applied before
   // the manager freezes anything. Semantically invisible (byte-identical
@@ -877,8 +776,8 @@ Result<ScriptReport> RunScript(const Script& script,
   Relation::SetColumnarEnabled(options.columnar);
 
   ConstraintManager mgr(script.local_preds, costs, options.resilience,
-                        options.parallel, remote_cache,
-                        options.budget, topology, plan_cache, pipeline);
+                        options.parallel, options.remote_cache, options.budget,
+                        topology, options.plan_cache, options.pipeline);
   // Correlated failure domains ride the per-site injectors: each domain's
   // outage windows are copied to every member site, so the whole domain
   // goes dark (and recovers) together. Any expanded window arms fault
@@ -970,7 +869,7 @@ Result<ScriptReport> RunScript(const Script& script,
       ++report.updates_applied;
     }
   };
-  if (pipeline.depth > 1) {
+  if (options.pipeline.depth > 1) {
     // Pipelined drive: admit the whole stream, then read results back in
     // admission order. Commits are serialized inside the manager, so the
     // verb lines below are byte-identical to the serial loop; the first
@@ -1040,7 +939,7 @@ Result<ScriptReport> RunScript(const Script& script,
     summary << "cache: " << access.cache_hits << " remote reads served ("
             << access.cached_tuples << " cached tuples)\n";
   }
-  if (plan_cache.enabled && options.print_stats) {
+  if (options.plan_cache.enabled && options.print_stats) {
     // Diagnostics only: plan.* counters live outside ManagerStats, so the
     // report proper stays byte-identical cache on/off; this line exists
     // only when the cache does.
@@ -1078,7 +977,7 @@ Result<ScriptReport> RunScript(const Script& script,
     }
     // The hedge and latency lines exist only when their feature does, so
     // a default-config --stats block is byte-identical to earlier tools.
-    if (remote_cache.hedge_after > 0) {
+    if (options.remote_cache.hedge_after > 0) {
       summary << "hedge: " << stats.hedges_issued << " issued, "
               << stats.hedges_won << " won, " << stats.hedges_wasted
               << " wasted\n";

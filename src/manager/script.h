@@ -1,6 +1,7 @@
 #ifndef CCPI_MANAGER_SCRIPT_H_
 #define CCPI_MANAGER_SCRIPT_H_
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
@@ -19,6 +20,80 @@
 #include "util/status.h"
 
 namespace ccpi {
+
+/// Per-site overrides of the base FaultConfig, from the --site-fault-*
+/// flags. Unset fields inherit the base (global) fault flags; outage
+/// windows are appended to the inherited ones.
+struct SiteFaultOverride {
+  std::optional<double> transient_rate;
+  std::optional<double> timeout_rate;
+  std::optional<uint64_t> seed;
+  std::vector<OutageWindow> outages;
+};
+
+/// Execution options of a script run: access pricing, fault injection on
+/// the simulated remote site, the remote-site topology, and the manager's
+/// degradation policy. A script's knob directives write here first;
+/// `ccpi_check` flags are applied to the same struct afterwards, so a
+/// flag wins over the directive it shares a knob with.
+struct ScriptOptions {
+  CostModel costs;
+  /// Remote faults to inject; used only when enable_faults is true. With
+  /// N sites this is the base config every site inherits: site 0 keeps
+  /// the seed verbatim, site s derives seed + s * golden-ratio so the
+  /// sites draw independent schedules by default.
+  FaultConfig faults;
+  bool enable_faults = false;
+  /// Remote-site topology: `sites` / `site` / `site_latency` / `domain` /
+  /// `domain_outage` directives, then --sites (replaces the count),
+  /// --placement (overlays per predicate), --site-latency (overlays per
+  /// site) and --domains (replaces the domain list wholesale).
+  TopologyConfig topology;
+  /// Correlated-outage windows from --domain-outage=NAME:A:B, attached by
+  /// name to the final failure domains when the run starts, so flag order
+  /// never matters. A window naming a domain that does not exist is a
+  /// validation error. Any entry implies fault injection (the expanded
+  /// windows ride the per-site FaultInjectors). A script's own
+  /// `domain_outage` lines attach to their domain as they are parsed.
+  std::map<std::string, std::vector<OutageWindow>> domain_outages;
+  /// Per-site fault overrides from --site-fault-rate=S:P and friends;
+  /// any entry implies enable_faults.
+  std::map<size_t, SiteFaultOverride> site_faults;
+  ResilienceConfig resilience;
+  /// Checker lanes for the manager's per-constraint fan-out
+  /// (ccpi_check --threads). Reports are identical at any thread count.
+  ParallelConfig parallel;
+  /// Remote-read snapshot cache (ccpi_check --remote-cache). On by
+  /// default; semantically invisible either way. Its hedge_after field
+  /// (`hedge_after` / --hedge-after) arms hedged batched reads.
+  RemoteCacheConfig remote_cache;
+  /// Compiled-plan cache (`plan_cache` / --plan-cache). On by default;
+  /// semantically invisible either way — reports and ManagerStats are
+  /// byte-identical on or off.
+  PlanCacheConfig plan_cache;
+  /// Episode pipeline (`pipeline` / --pipeline-depth). Depth 1 (the
+  /// default) is the serial checker; depth N>1 overlaps speculative
+  /// check phases while commits stay serialized in admission order, so
+  /// the per-update log is byte-identical at any depth.
+  PipelineConfig pipeline;
+  /// Columnar read path (ccpi_check --columnar). On by default;
+  /// semantically invisible either way — freezing a relation additionally
+  /// builds a columnar segment that the RA evaluator's scan/join kernels
+  /// use, with byte-identical reports and stats on or off.
+  bool columnar = true;
+  /// Execution budgets and overload control (ccpi_check --deadline-ms,
+  /// --max-fixpoint-rounds, --max-derived-tuples, --deferred-queue-cap,
+  /// --overflow-policy). Off by default: an unbudgeted run is bit-identical
+  /// to one before budgets existed.
+  BudgetConfig budget;
+  /// Append the full ManagerStats block (retries, deferred/recovered
+  /// outcomes, breaker state) to the report text.
+  bool print_stats = false;
+  /// Fill ScriptReport::metrics_json with the manager's metrics-registry
+  /// dump (ccpi_check --metrics-out). Enable timing (SetTimingEnabled)
+  /// before the run if the latency histograms should be populated.
+  bool collect_metrics = false;
+};
 
 /// A declarative constraint-checking workload, the input format of the
 /// `ccpi_check` tool. Line-oriented:
@@ -43,116 +118,21 @@ namespace ccpi {
 ///     pipeline 4                    # episode pipeline depth (default 1)
 ///
 /// Rules may span lines exactly as in ParseProgram (break after `:-`, `&`
-/// or `,`).
+/// or `,`). The knob directives (`sites` through `pipeline`) are entries
+/// of the ScriptKnobs() table, shared with the `ccpi_check` flags.
 struct Script {
   std::set<std::string> local_preds;
   std::vector<std::pair<std::string, Program>> constraints;
   Database initial;
   std::vector<Update> updates;
-  /// Remote-site topology from `sites` / `site` / `site_latency` /
-  /// `domain` / `domain_outage` directives; command-line flags (--sites,
-  /// --placement, --site-latency, --domains, --domain-outage) override it
-  /// field-wise.
-  TopologyConfig topology;
-  /// `plan_cache on|off` directive; unset means the default (on). The
-  /// --plan-cache flag overrides it (flags win).
-  std::optional<bool> plan_cache;
-  /// `pipeline N` directive: episode pipeline depth; unset means the
-  /// default (1 = serial). The --pipeline-depth flag overrides it
-  /// (flags win).
-  std::optional<size_t> pipeline_depth;
-  /// `hedge_after N` directive: hedged batched reads past N x the site's
-  /// latency EWMA; unset means the default (0 = off). The --hedge-after
-  /// flag overrides it (flags win).
-  std::optional<uint64_t> hedge_after;
+  /// The run's knobs: the script's directives, plus whatever flags the
+  /// caller applies on top with ApplyScriptFlag (flags win by coming
+  /// later). Call ValidateScriptOptions again after applying flags.
+  ScriptOptions options;
 };
 
+/// Parses a script and validates its options (ValidateScriptOptions).
 Result<Script> ParseScript(std::string_view text);
-
-/// Execution options of a script run: access pricing, fault injection on
-/// the simulated remote site, and the manager's degradation policy.
-/// Per-site overrides of the base FaultConfig, from the --site-fault-*
-/// flags. Unset fields inherit the base (global) fault flags; outage
-/// windows are appended to the inherited ones.
-struct SiteFaultOverride {
-  std::optional<double> transient_rate;
-  std::optional<double> timeout_rate;
-  std::optional<uint64_t> seed;
-  std::vector<OutageWindow> outages;
-};
-
-struct ScriptOptions {
-  CostModel costs;
-  /// Remote faults to inject; used only when enable_faults is true. With
-  /// N sites this is the base config every site inherits: site 0 keeps
-  /// the seed verbatim, site s derives seed + s * golden-ratio so the
-  /// sites draw independent schedules by default.
-  FaultConfig faults;
-  bool enable_faults = false;
-  /// Remote-site topology from --sites / --placement / --site-latency /
-  /// --domains; overrides the script's own directives field-wise (flags
-  /// win).
-  TopologyConfig topology;
-  bool topology_from_flags = false;
-  /// Whether --domains was given: the flag's domain list replaces the
-  /// script's `domain` directives wholesale.
-  bool domains_from_flags = false;
-  /// Whether any --site-latency was given; flag entries override the
-  /// script's `site_latency` directives site-wise.
-  bool site_latency_from_flags = false;
-  /// Correlated-outage windows from --domain-outage=NAME:A:B, attached by
-  /// name to the effective (post-merge) failure domains. A window naming a
-  /// domain that does not exist after the merge fails the run. Any entry
-  /// implies fault injection (the expanded windows ride the per-site
-  /// FaultInjectors).
-  std::map<std::string, std::vector<OutageWindow>> domain_outages;
-  /// Per-site fault overrides from --site-fault-rate=S:P and friends;
-  /// any entry implies enable_faults.
-  std::map<size_t, SiteFaultOverride> site_faults;
-  ResilienceConfig resilience;
-  /// Checker lanes for the manager's per-constraint fan-out
-  /// (ccpi_check --threads). Reports are identical at any thread count.
-  ParallelConfig parallel;
-  /// Remote-read snapshot cache (ccpi_check --remote-cache). On by
-  /// default; semantically invisible either way. Its hedge_after field
-  /// (ccpi_check --hedge-after) arms hedged batched reads.
-  RemoteCacheConfig remote_cache;
-  /// Whether --hedge-after was given explicitly; when set it overrides
-  /// the script's own `hedge_after` directive (flags win).
-  bool hedge_from_flags = false;
-  /// Compiled-plan cache (ccpi_check --plan-cache). On by default;
-  /// semantically invisible either way — reports and ManagerStats are
-  /// byte-identical on or off.
-  PlanCacheConfig plan_cache;
-  /// Whether --plan-cache was given explicitly; when set it overrides the
-  /// script's own `plan_cache` directive (flags win, like topology).
-  bool plan_cache_from_flags = false;
-  /// Episode pipeline (ccpi_check --pipeline-depth). Depth 1 (the
-  /// default) is the serial checker; depth N>1 overlaps speculative
-  /// check phases while commits stay serialized in admission order, so
-  /// the per-update log is byte-identical at any depth.
-  PipelineConfig pipeline;
-  /// Whether --pipeline-depth was given explicitly; when set it overrides
-  /// the script's own `pipeline` directive (flags win, like plan_cache).
-  bool pipeline_from_flags = false;
-  /// Columnar read path (ccpi_check --columnar). On by default;
-  /// semantically invisible either way — freezing a relation additionally
-  /// builds a columnar segment that the RA evaluator's scan/join kernels
-  /// use, with byte-identical reports and stats on or off.
-  bool columnar = true;
-  /// Execution budgets and overload control (ccpi_check --deadline-ms,
-  /// --max-fixpoint-rounds, --max-derived-tuples, --deferred-queue-cap,
-  /// --overflow-policy). Off by default: an unbudgeted run is bit-identical
-  /// to one before budgets existed.
-  BudgetConfig budget;
-  /// Append the full ManagerStats block (retries, deferred/recovered
-  /// outcomes, breaker state) to the report text.
-  bool print_stats = false;
-  /// Fill ScriptReport::metrics_json with the manager's metrics-registry
-  /// dump (ccpi_check --metrics-out). Enable timing (SetTimingEnabled)
-  /// before the run if the latency histograms should be populated.
-  bool collect_metrics = false;
-};
 
 /// The outcome of running a script through the ConstraintManager.
 struct ScriptReport {
@@ -217,46 +197,75 @@ struct ScriptReport {
   size_t latency_shed = 0;
 };
 
-Result<ScriptReport> RunScript(const Script& script,
-                               const CostModel& costs = {});
+/// Runs the script with its own options. Fails with InvalidArgument if
+/// they do not pass ValidateScriptOptions.
+Result<ScriptReport> RunScript(const Script& script);
 
-Result<ScriptReport> RunScript(const Script& script,
-                               const ScriptOptions& options);
+/// Which spelling of a knob the user typed.
+enum class KnobForm { kDirective, kFlag };
+
+/// One run knob, declared once for both spellings: the `ccpi_check` flag
+/// `--<flag>=<value>` and, where there is one, the script directive
+/// `<keyword> <words>`. The directive's words are converted to the flag's
+/// value and go through the same apply function.
+struct Knob {
+  /// Flag name without the leading "--".
+  std::string_view flag = {};
+  /// The value as `--help` shows it ("N", "on|off"); empty for a bare
+  /// switch such as --stats.
+  std::string_view metavar = {};
+  /// The value grammar; error messages read "--<flag> wants <wants>".
+  std::string_view wants = {};
+  /// `--help` heading printed before this entry, if any.
+  std::string_view section = {};
+  /// `--help` text, one '\n' per line break.
+  std::string_view help = {};
+  /// The directive as `--help` shows it ("site K PRED..."), its first word
+  /// being the keyword; empty when the knob has no directive.
+  std::string_view directive = {};
+  /// Converts a directive's words (after the keyword) to the flag's value;
+  /// null when the directive takes the flag's value verbatim.
+  std::string (*words_to_value)(const std::vector<std::string>& words) =
+      nullptr;
+  /// Integer knobs: the value must lie in [min, max] and is handed to
+  /// set_uint.
+  uint64_t min = 0;
+  uint64_t max = UINT64_MAX;
+  void (*set_uint)(ScriptOptions* options, uint64_t value) = nullptr;
+  /// on|off knobs.
+  void (*set_on_off)(ScriptOptions* options, bool value) = nullptr;
+  /// Every other knob: parses `value` and applies it, or returns false
+  /// leaving `options` untouched.
+  bool (*apply)(std::string_view value, KnobForm form,
+                ScriptOptions* options) = nullptr;
+};
+
+/// The knob table, in `--help` order.
+const std::vector<Knob>& ScriptKnobs();
+
+/// The `--help` lines of every knob in ScriptKnobs(), grouped by section.
+std::string ScriptKnobsHelp();
 
 /// Applies one `ccpi_check`-style command-line flag to `options`.
 ///
-/// Recognizes every flag that configures the run itself — --threads=N,
-/// --remote-cache=on|off, --plan-cache=on|off, --columnar=on|off,
-/// --pipeline-depth=N,
-/// --fault-rate=P,
-/// --fault-timeout-rate=P,
-/// --fault-seed=N, --fault-outage=A:B, --fault-reject, --stats,
-/// --sites=N, --placement=p:0,q:1, --site-fault-rate=S:P,
-/// --site-fault-timeout-rate=S:P, --site-fault-seed=S:N,
-/// --site-fault-outage=S:A:B,
-/// --site-latency=S:fixed:U | S:uniform:LO:HI | S:twopoint:LO:HI:P,
-/// --hedge-after=N, --domains=NAME:S0+S1,NAME2:S2,
-/// --domain-outage=NAME:A:B, --deadline-ms=N, --max-fixpoint-rounds=N,
-/// --max-derived-tuples=N, --deferred-queue-cap=N,
-/// --overflow-policy=POLICY — and
-/// validates values *strictly*: a malformed or out-of-range value (e.g.
-/// --threads=abc, --threads=-2, --fault-rate=1.5) is an InvalidArgument
-/// error naming the flag, never a silent fallback to a default. Flags the
-/// tool handles itself (--help, --export-souffle, --trace-out, ...) are
-/// not recognized here.
+/// Recognizes every flag of ScriptKnobs() and validates values *strictly*:
+/// a malformed or out-of-range value (e.g. --threads=abc, --threads=-2,
+/// --fault-rate=1.5) is an InvalidArgument error naming the flag, never a
+/// silent fallback to a default, and leaves `options` untouched. Flags the
+/// tool handles itself (--help, --export-souffle, --trace-out,
+/// --metrics-out) are not recognized here.
 ///
 /// On return, *matched says whether `arg` was one of the recognized flags;
 /// the Status is non-OK only for a recognized flag with a bad value.
 Status ApplyScriptFlag(std::string_view arg, ScriptOptions* options,
                        bool* matched);
 
-/// Cross-flag validation, called once after all flags are applied:
-/// the fault probabilities (global and per-site effective) must sum to at
-/// most 1; every site index named by --placement, --site-fault-* or
-/// --site-latency must be < --sites; --domains names must be unique with
-/// no site in two domains and (when --sites was given) members < sites;
-/// and every --domain-outage must name a --domains domain when --domains
-/// was given.
+/// Cross-knob validation, run at the end of ParseScript and again once
+/// flags are applied: the fault probabilities (global and per-site
+/// effective) must sum to at most 1; every site index named by a
+/// placement, --site-fault-*, site latency or domain member must be
+/// < sites; domain names must be unique with no site in two domains; and
+/// every --domain-outage must name a domain.
 Status ValidateScriptOptions(const ScriptOptions& options);
 
 }  // namespace ccpi

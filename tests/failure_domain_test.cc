@@ -88,11 +88,11 @@ TEST(FailureDomainTest, WholeDomainDarkDefersEveryMemberSiteCheck) {
                             "domain rackA 0 1\n"
                             "domain_outage rackA 0 2\n");
   ASSERT_TRUE(script.ok()) << script.status().ToString();
-  ScriptOptions options;
+  ScriptOptions& options = script->options;
   options.resilience = DomainResilience();
   // No --fault-* flags: the domain window alone must arm injection.
   ASSERT_FALSE(options.enable_faults);
-  auto report = RunScript(*script, options);
+  auto report = RunScript(*script);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   // Every l update fans out to both member sites and both defer; the
   // lx update only touches the healthy site 2 and applies cleanly.
@@ -120,16 +120,18 @@ TEST(FailureDomainTest, DomainOutageEqualsManualPerSiteWindows) {
   auto plain_script = ParseScript(kDomainScript);
   ASSERT_TRUE(plain_script.ok());
 
-  ScriptOptions domain_options;
+  ScriptOptions& domain_options = domain_script->options;
   domain_options.resilience = DomainResilience();
   domain_options.print_stats = true;
-  ScriptOptions manual_options = domain_options;
+  ScriptOptions& manual_options = plain_script->options;
+  manual_options.resilience = DomainResilience();
+  manual_options.print_stats = true;
   manual_options.enable_faults = true;
   manual_options.site_faults[0].outages.push_back(OutageWindow{0, 2});
   manual_options.site_faults[1].outages.push_back(OutageWindow{0, 2});
 
-  auto domain_report = RunScript(*domain_script, domain_options);
-  auto manual_report = RunScript(*plain_script, manual_options);
+  auto domain_report = RunScript(*domain_script);
+  auto manual_report = RunScript(*plain_script);
   ASSERT_TRUE(domain_report.ok()) << domain_report.status().ToString();
   ASSERT_TRUE(manual_report.ok()) << manual_report.status().ToString();
   EXPECT_EQ(domain_report->text, manual_report->text);
@@ -296,19 +298,17 @@ TEST(FailureDomainTest, HedgingIsSemanticallyInvisibleOnTheLog) {
       "insert reserved(g, 1)\n";
   auto script = ParseScript(text);
   ASSERT_TRUE(script.ok()) << script.status().ToString();
-  ScriptOptions options;
+  ScriptOptions& options = script->options;
   SiteLatencyOverride skewed;
   skewed.model = LatencyModel::kTwoPoint;
   skewed.lo_us = 1;
   skewed.hi_us = 50;
   skewed.slow_share = 0.4;
   options.topology.site_latency[0] = skewed;
-  options.site_latency_from_flags = true;
 
-  auto unhedged = RunScript(*script, options);
+  auto unhedged = RunScript(*script);
   options.remote_cache.hedge_after = 1;
-  options.hedge_from_flags = true;
-  auto hedged = RunScript(*script, options);
+  auto hedged = RunScript(*script);
   ASSERT_TRUE(unhedged.ok()) << unhedged.status().ToString();
   ASSERT_TRUE(hedged.ok()) << hedged.status().ToString();
 
@@ -333,9 +333,9 @@ TEST(FailureDomainTest, LatencyMetricsRegisterOnlyWhenArmed) {
       "insert l(1, 3)\n";
   auto script = ParseScript(text);
   ASSERT_TRUE(script.ok());
-  ScriptOptions options;
+  ScriptOptions& options = script->options;
   options.collect_metrics = true;
-  auto plain = RunScript(*script, options);
+  auto plain = RunScript(*script);
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ(plain->metrics_json.find("latency_us"), std::string::npos);
   EXPECT_EQ(plain->metrics_json.find("manager.hedge"), std::string::npos);
@@ -347,10 +347,8 @@ TEST(FailureDomainTest, LatencyMetricsRegisterOnlyWhenArmed) {
   uniform.lo_us = 1;
   uniform.hi_us = 2;
   options.topology.site_latency[0] = uniform;
-  options.site_latency_from_flags = true;
   options.remote_cache.hedge_after = 2;
-  options.hedge_from_flags = true;
-  auto armed = RunScript(*script, options);
+  auto armed = RunScript(*script);
   ASSERT_TRUE(armed.ok());
   EXPECT_NE(armed->metrics_json.find("distsim.site0.latency_us"),
             std::string::npos);

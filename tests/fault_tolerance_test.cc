@@ -571,7 +571,7 @@ TEST(FaultToleranceTest, ScriptRunReportsDeferredAndRecovers) {
       "insert l(20, 30)\n"   // fine: 7 not in [20,30]
       "insert l(5, 10)\n");  // violation hidden by the outage window
   ASSERT_TRUE(script.ok()) << script.status().ToString();
-  ScriptOptions options;
+  ScriptOptions& options = script->options;
   options.enable_faults = true;
   // Outage covering the whole stream's remote trips; the shutdown drain
   // runs after it ends (trip indices past the window succeed).
@@ -579,7 +579,7 @@ TEST(FaultToleranceTest, ScriptRunReportsDeferredAndRecovers) {
   options.resilience.retry.max_attempts = 1;
   options.resilience.breaker.cooldown_ticks = 0;
   options.print_stats = true;
-  auto report = RunScript(*script, options);
+  auto report = RunScript(*script);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_GT(report->updates_deferred, 0u);
   // The shutdown drain re-verified everything: the hidden violation was

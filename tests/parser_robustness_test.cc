@@ -95,6 +95,21 @@ TEST(ParserRobustness, HugeIntegerBoundary) {
   EXPECT_TRUE(ok.ok());
 }
 
+TEST(ParserRobustness, IntegerLiteralOutOfRangeIsAnError) {
+  // Used to throw std::out_of_range out of the lexer and abort the process.
+  for (const char* text : {"panic :- p(X) & X < 9223372036854775808",
+                           "panic :- p(X) & X > -9223372036854775809",
+                           "panic :- p(99999999999999999999999)"}) {
+    auto p = ParseProgram(text);
+    ASSERT_FALSE(p.ok()) << text;
+    EXPECT_EQ(p.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(p.status().message().find("out of range"), std::string::npos)
+        << p.status().message();
+  }
+  auto lowest = ParseProgram("panic :- p(X) & X > -9223372036854775808");
+  EXPECT_TRUE(lowest.ok()) << lowest.status().ToString();
+}
+
 TEST(ParserRobustness, ParenGroupingAroundTerms) {
   // Parentheses around a term are pure grouping: "((x))" parses as "x".
   auto p = ParseProgram("panic :- emp((E), ((42)))");

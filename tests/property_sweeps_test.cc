@@ -79,7 +79,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, Theorem51Agreement,
 
 // --- Sweep 2: local-test soundness + completeness across CQC shapes --------
 
-using LocalTestParam = std::tuple<const char*, uint64_t>;
+// Parameters hold the rule text as std::string, not const char*: gtest prints
+// a char pointer with its address, which would put an ASLR-dependent address
+// into every discovered test name.
+using LocalTestParam = std::tuple<std::string, uint64_t>;
 
 class LocalTestSweep : public ::testing::TestWithParam<LocalTestParam> {};
 
@@ -165,7 +168,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- Sweep 3: the three Fig 6.1 implementations agree -----------------------
 
-using IcqParam = std::tuple<const char*, uint64_t>;
+using IcqParam = std::tuple<std::string, uint64_t>;
 class IcqAgreement : public ::testing::TestWithParam<IcqParam> {};
 
 TEST_P(IcqAgreement, DatalogDirectTheorem52) {

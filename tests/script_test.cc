@@ -5,6 +5,24 @@
 namespace ccpi {
 namespace {
 
+/// Applies one flag expecting success, returning whether it was matched.
+bool ApplyOk(std::string_view arg, ScriptOptions* options) {
+  bool matched = false;
+  Status st = ApplyScriptFlag(arg, options, &matched);
+  EXPECT_TRUE(st.ok()) << arg << ": " << st.ToString();
+  return matched;
+}
+
+/// Applies one flag expecting a usage error that names the flag.
+void ExpectBadFlag(std::string_view arg, std::string_view flag_name) {
+  ScriptOptions options;
+  bool matched = false;
+  Status st = ApplyScriptFlag(arg, &options, &matched);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << arg;
+  EXPECT_NE(st.message().find(flag_name), std::string::npos)
+      << "error for " << arg << " does not name the flag: " << st.message();
+}
+
 TEST(ScriptParseTest, FullWorkload) {
   auto script = ParseScript(
       "# a comment\n"
@@ -97,10 +115,10 @@ const char* kOverloadScript =
 TEST(ScriptRunTest, BudgetShedsAreReportedDistinctlyFromDeferrals) {
   auto script = ParseScript(kOverloadScript);
   ASSERT_TRUE(script.ok()) << script.status().ToString();
-  ScriptOptions options;
+  ScriptOptions& options = script->options;
   options.budget.per_check.max_fixpoint_rounds = 1;
   options.print_stats = true;
-  auto report = RunScript(*script, options);
+  auto report = RunScript(*script);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->budget_armed);
   EXPECT_GT(report->shed_checks, 0u);
@@ -118,9 +136,9 @@ TEST(ScriptRunTest, BudgetShedsAreReportedDistinctlyFromDeferrals) {
 TEST(ScriptRunTest, UnbudgetedRunNeverMentionsBudgets) {
   auto script = ParseScript(kOverloadScript);
   ASSERT_TRUE(script.ok()) << script.status().ToString();
-  ScriptOptions options;
+  ScriptOptions& options = script->options;
   options.print_stats = true;
-  auto report = RunScript(*script, options);
+  auto report = RunScript(*script);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_FALSE(report->budget_armed);
   EXPECT_EQ(report->shed_checks, 0u);
@@ -134,9 +152,9 @@ TEST(ScriptRunTest, QueueCapAloneArmsBudgetReporting) {
   // cap can drop or refuse work, so the run must disclose its counters).
   auto script = ParseScript(kOverloadScript);
   ASSERT_TRUE(script.ok());
-  ScriptOptions options;
+  ScriptOptions& options = script->options;
   options.budget.deferred_queue_cap = 4;
-  auto report = RunScript(*script, options);
+  auto report = RunScript(*script);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->budget_armed);
   EXPECT_EQ(report->shed_checks, 0u);
@@ -162,15 +180,19 @@ TEST(ScriptRunTest, SubsumedConstraintReported) {
 TEST(ScriptParseTest, PlanCacheDirective) {
   auto off = ParseScript("plan_cache off\nlocal l\n");
   ASSERT_TRUE(off.ok());
-  ASSERT_TRUE(off->plan_cache.has_value());
-  EXPECT_FALSE(*off->plan_cache);
+  EXPECT_FALSE(off->options.plan_cache.enabled);
   auto on = ParseScript("plan_cache on\nlocal l\n");
   ASSERT_TRUE(on.ok());
-  ASSERT_TRUE(on->plan_cache.has_value());
-  EXPECT_TRUE(*on->plan_cache);
+  EXPECT_TRUE(on->options.plan_cache.enabled);
+  // A later directive overrides an earlier one.
+  auto again = ParseScript("plan_cache off\nplan_cache on\n");
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->options.plan_cache.enabled);
+  // Without the directive the script keeps the default (on).
   auto unset = ParseScript("local l\n");
   ASSERT_TRUE(unset.ok());
-  EXPECT_FALSE(unset->plan_cache.has_value());
+  EXPECT_EQ(unset->options.plan_cache.enabled,
+            ScriptOptions{}.plan_cache.enabled);
 }
 
 TEST(ScriptParseTest, PlanCacheDirectiveRejectsBadValue) {
@@ -196,14 +218,12 @@ TEST(ScriptRunTest, PlanCacheFlagOverridesScriptDirective) {
       "insert l(3, 4)\n";
   auto script = ParseScript(text);
   ASSERT_TRUE(script.ok());
-  ScriptOptions options;
-  options.print_stats = true;
-  auto off = RunScript(*script, options);
+  script->options.print_stats = true;
+  auto off = RunScript(*script);
   ASSERT_TRUE(off.ok());
   EXPECT_EQ(off->summary_text.find("plans:"), std::string::npos);
-  options.plan_cache.enabled = true;
-  options.plan_cache_from_flags = true;
-  auto on = RunScript(*script, options);
+  ASSERT_TRUE(ApplyOk("--plan-cache=on", &script->options));
+  auto on = RunScript(*script);
   ASSERT_TRUE(on.ok());
   EXPECT_NE(on->summary_text.find("plans:"), std::string::npos);
   // Flags win, directives change behavior, but the report proper must not
@@ -216,11 +236,11 @@ TEST(ScriptRunTest, PlanCacheFlagOverridesScriptDirective) {
 TEST(ScriptParseTest, PipelineDirective) {
   auto four = ParseScript("pipeline 4\nlocal l\n");
   ASSERT_TRUE(four.ok());
-  ASSERT_TRUE(four->pipeline_depth.has_value());
-  EXPECT_EQ(*four->pipeline_depth, 4u);
+  EXPECT_EQ(four->options.pipeline.depth, 4u);
+  // Without the directive the script keeps the default (1 = serial).
   auto unset = ParseScript("local l\n");
   ASSERT_TRUE(unset.ok());
-  EXPECT_FALSE(unset->pipeline_depth.has_value());
+  EXPECT_EQ(unset->options.pipeline.depth, ScriptOptions{}.pipeline.depth);
 }
 
 TEST(ScriptParseTest, PipelineDirectiveRejectsBadValue) {
@@ -252,13 +272,11 @@ TEST(ScriptRunTest, PipelinedRunMatchesSerialByteForByte) {
       "insert l(2, 9)\n";
   auto script = ParseScript(text);
   ASSERT_TRUE(script.ok());
-  ScriptOptions options;
-  options.print_stats = true;
-  auto serial = RunScript(*script, options);
+  script->options.print_stats = true;
+  auto serial = RunScript(*script);
   ASSERT_TRUE(serial.ok());
-  options.pipeline.depth = 8;
-  options.pipeline_from_flags = true;
-  auto piped = RunScript(*script, options);
+  ASSERT_TRUE(ApplyOk("--pipeline-depth=8", &script->options));
+  auto piped = RunScript(*script);
   ASSERT_TRUE(piped.ok());
   EXPECT_EQ(serial->text, piped->text);
 }
@@ -274,16 +292,14 @@ TEST(ScriptRunTest, PipelineFlagOverridesScriptDirective) {
       "insert l(1, 2)\n";
   auto script = ParseScript(text);
   ASSERT_TRUE(script.ok());
-  ScriptOptions options;
-  options.collect_metrics = true;
-  auto from_directive = RunScript(*script, options);
+  script->options.collect_metrics = true;
+  auto from_directive = RunScript(*script);
   ASSERT_TRUE(from_directive.ok());
   EXPECT_NE(from_directive->metrics_json.find("manager.pipeline.admitted"),
             std::string::npos);
   // An explicit --pipeline-depth=1 must win over the directive.
-  options.pipeline.depth = 1;
-  options.pipeline_from_flags = true;
-  auto from_flag = RunScript(*script, options);
+  ASSERT_TRUE(ApplyOk("--pipeline-depth=1", &script->options));
+  auto from_flag = RunScript(*script);
   ASSERT_TRUE(from_flag.ok());
   EXPECT_EQ(from_flag->metrics_json.find("manager.pipeline.admitted"),
             std::string::npos);
@@ -291,24 +307,6 @@ TEST(ScriptRunTest, PipelineFlagOverridesScriptDirective) {
 }
 
 // ---- ApplyScriptFlag: the strict ccpi_check flag parser -----------------
-
-/// Applies one flag expecting success, returning whether it was matched.
-bool ApplyOk(std::string_view arg, ScriptOptions* options) {
-  bool matched = false;
-  Status st = ApplyScriptFlag(arg, options, &matched);
-  EXPECT_TRUE(st.ok()) << arg << ": " << st.ToString();
-  return matched;
-}
-
-/// Applies one flag expecting a usage error that names the flag.
-void ExpectBadFlag(std::string_view arg, std::string_view flag_name) {
-  ScriptOptions options;
-  bool matched = false;
-  Status st = ApplyScriptFlag(arg, &options, &matched);
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << arg;
-  EXPECT_NE(st.message().find(flag_name), std::string::npos)
-      << "error for " << arg << " does not name the flag: " << st.message();
-}
 
 TEST(ScriptFlagTest, ValidFlagsApply) {
   ScriptOptions options;
@@ -318,16 +316,14 @@ TEST(ScriptFlagTest, ValidFlagsApply) {
   EXPECT_FALSE(options.remote_cache.enabled);
   EXPECT_TRUE(ApplyOk("--remote-cache=on", &options));
   EXPECT_TRUE(options.remote_cache.enabled);
-  EXPECT_FALSE(options.plan_cache_from_flags);
+  EXPECT_TRUE(options.plan_cache.enabled);
   EXPECT_TRUE(ApplyOk("--plan-cache=off", &options));
   EXPECT_FALSE(options.plan_cache.enabled);
-  EXPECT_TRUE(options.plan_cache_from_flags);
   EXPECT_TRUE(ApplyOk("--plan-cache=on", &options));
   EXPECT_TRUE(options.plan_cache.enabled);
-  EXPECT_FALSE(options.pipeline_from_flags);
+  EXPECT_EQ(options.pipeline.depth, 1u);
   EXPECT_TRUE(ApplyOk("--pipeline-depth=8", &options));
   EXPECT_EQ(options.pipeline.depth, 8u);
-  EXPECT_TRUE(options.pipeline_from_flags);
   EXPECT_TRUE(ApplyOk("--fault-rate=0.25", &options));
   EXPECT_DOUBLE_EQ(options.faults.transient_rate, 0.25);
   EXPECT_TRUE(options.enable_faults);
@@ -369,6 +365,35 @@ TEST(ScriptFlagTest, MalformedNumericValuesAreHardErrors) {
   ExpectBadFlag("--pipeline-depth=-2", "--pipeline-depth");
   ExpectBadFlag("--pipeline-depth=", "--pipeline-depth");
   ExpectBadFlag("--pipeline-depth=4x", "--pipeline-depth");
+}
+
+TEST(ScriptFlagTest, DeadlineHasAConstantMaximum) {
+  // A deadline near 2^63 ms used to overflow the clock arithmetic.
+  ScriptOptions options;
+  EXPECT_TRUE(ApplyOk("--deadline-ms=86400000", &options));
+  EXPECT_EQ(options.budget.per_episode.deadline_ms, 86400000u);
+  ExpectBadFlag("--deadline-ms=86400001", "--deadline-ms");
+  ExpectBadFlag("--deadline-ms=10000000000000", "--deadline-ms");
+}
+
+TEST(ScriptFlagTest, SitesAndThreadsHaveAConstantMaximum) {
+  // Unbounded values used to size per-site and per-lane state directly and
+  // abort the process with std::bad_alloc.
+  ScriptOptions options;
+  EXPECT_TRUE(ApplyOk("--sites=1024", &options));
+  EXPECT_EQ(options.topology.sites, 1024u);
+  EXPECT_TRUE(ApplyOk("--threads=256", &options));
+  EXPECT_EQ(options.parallel.threads, 256u);
+  ExpectBadFlag("--sites=1025", "--sites");
+  ExpectBadFlag("--sites=100000000000", "--sites");
+  ExpectBadFlag("--threads=257", "--threads");
+  ExpectBadFlag("--threads=100000000000", "--threads");
+  // The message states the cap.
+  bool matched = false;
+  Status st = ApplyScriptFlag("--sites=100000000000", &options, &matched);
+  EXPECT_NE(st.message().find("at most 1024"), std::string::npos)
+      << st.message();
+  EXPECT_EQ(options.topology.sites, 1024u);
 }
 
 TEST(ScriptFlagTest, MalformedValueLeavesOptionsUntouched) {
@@ -451,7 +476,7 @@ TEST(ScriptParseTest, LatencyAndDomainDirectives) {
       "domain_outage rack0 4 10\n"
       "hedge_after 3\n");
   ASSERT_TRUE(script.ok()) << script.status().ToString();
-  const TopologyConfig& t = script->topology;
+  const TopologyConfig& t = script->options.topology;
   ASSERT_EQ(t.site_latency.size(), 3u);
   EXPECT_EQ(t.site_latency.at(0).model, LatencyModel::kFixed);
   EXPECT_EQ(t.site_latency.at(0).fixed_us, 250u);
@@ -469,8 +494,7 @@ TEST(ScriptParseTest, LatencyAndDomainDirectives) {
   EXPECT_EQ(t.domains[0].outages[0].begin, 4u);
   EXPECT_EQ(t.domains[0].outages[0].end, 10u);
   EXPECT_TRUE(t.domains[1].outages.empty());
-  ASSERT_TRUE(script->hedge_after.has_value());
-  EXPECT_EQ(*script->hedge_after, 3u);
+  EXPECT_EQ(script->options.remote_cache.hedge_after, 3u);
 }
 
 /// Expects ParseScript to fail with a message containing `needle`.
@@ -504,22 +528,41 @@ TEST(ScriptParseTest, LatencyAndDomainDirectivesRejectBadValues) {
   ExpectParseError("hedge_after x\n", "hedge_after");
 }
 
+TEST(ScriptParseTest, SitesDirectiveHasAConstantMaximum) {
+  auto capped = ParseScript("sites 1024\n");
+  ASSERT_TRUE(capped.ok()) << capped.status().ToString();
+  EXPECT_EQ(capped->options.topology.sites, 1024u);
+  ExpectParseError("local l\nsites 1025\n", "line 2: sites");
+  ExpectParseError("local l\nsites 100000000000\n", "at most 1024");
+}
+
+TEST(ScriptParseTest, DirectivesRejectEmptyAndMisspelledLists) {
+  // The word-separated directives convert to the flag grammar; a word
+  // carrying the flag's own separators or a missing word is an error, not
+  // a different list.
+  ExpectParseError("sites 2\nsite 1\n", "line 2: site");
+  ExpectParseError("sites 2\nsite 1,q:0 p\n", "line 2: site");
+  ExpectParseError("sites 3\ndomain a 0+1\n", "line 2: domain");
+  ExpectParseError("sites 3\ndomain a 0,b:1\n", "line 2: domain");
+  ExpectParseError("sites 3\nsite_latency 0 fixed 10\n",
+                   "line 2: site_latency");
+  ExpectParseError("sites 3\ndomain a 0\ndomain_outage a 4:10\n",
+                   "line 3: domain_outage");
+}
+
 TEST(ScriptFlagTest, LatencyAndDomainFlagsApply) {
   ScriptOptions options;
-  EXPECT_FALSE(options.site_latency_from_flags);
+  EXPECT_TRUE(options.topology.site_latency.empty());
   EXPECT_TRUE(ApplyOk("--site-latency=1:twopoint:100:5000:0.1", &options));
-  EXPECT_TRUE(options.site_latency_from_flags);
   ASSERT_EQ(options.topology.site_latency.count(1), 1u);
   EXPECT_EQ(options.topology.site_latency.at(1).model, LatencyModel::kTwoPoint);
   EXPECT_EQ(options.topology.site_latency.at(1).lo_us, 100u);
   EXPECT_EQ(options.topology.site_latency.at(1).hi_us, 5000u);
-  EXPECT_FALSE(options.hedge_from_flags);
+  EXPECT_EQ(options.remote_cache.hedge_after, 0u);
   EXPECT_TRUE(ApplyOk("--hedge-after=3", &options));
   EXPECT_EQ(options.remote_cache.hedge_after, 3u);
-  EXPECT_TRUE(options.hedge_from_flags);
-  EXPECT_FALSE(options.domains_from_flags);
+  EXPECT_TRUE(options.topology.domains.empty());
   EXPECT_TRUE(ApplyOk("--domains=rack0:0+1,rack1:2", &options));
-  EXPECT_TRUE(options.domains_from_flags);
   ASSERT_EQ(options.topology.domains.size(), 2u);
   EXPECT_EQ(options.topology.domains[0].name, "rack0");
   EXPECT_EQ(options.topology.domains[0].members, (std::vector<size_t>{0, 1}));
@@ -546,6 +589,12 @@ TEST(ScriptFlagTest, MalformedLatencyAndDomainValuesAreHardErrors) {
   ExpectBadFlag("--domains=rack0:", "--domains");
   ExpectBadFlag("--domains=rack0:a+b", "--domains");
   ExpectBadFlag("--domains=:0+1", "--domains");
+  // Empty list elements are malformed, not skipped.
+  ExpectBadFlag("--domains=a:0,", "--domains");
+  ExpectBadFlag("--domains=a:0++1", "--domains");
+  ExpectBadFlag("--placement=", "--placement");
+  ExpectBadFlag("--placement=p:0,", "--placement");
+  ExpectBadFlag("--placement=p:0,,q:1", "--placement");
   ExpectBadFlag("--domain-outage=rack0", "--domain-outage");
   ExpectBadFlag("--domain-outage=rack0:9:4", "--domain-outage");
   ExpectBadFlag("--domain-outage=rack0:a:b", "--domain-outage");
@@ -615,21 +664,20 @@ TEST(ScriptRunTest, HedgeFlagOverridesScriptDirective) {
       "fact r(7)\n"
       "insert l(10, 20)\n");
   ASSERT_TRUE(script.ok()) << script.status().ToString();
-  ASSERT_TRUE(script->hedge_after.has_value());
-  ScriptOptions options;
-  options.print_stats = true;
-  options.remote_cache.hedge_after = 0;
-  options.hedge_from_flags = true;
-  auto report = RunScript(*script, options);
+  EXPECT_EQ(script->options.remote_cache.hedge_after, 7u);
+  Script flagged = *script;
+  flagged.options.print_stats = true;
+  ASSERT_TRUE(ApplyOk("--hedge-after=0", &flagged.options));
+  auto report = RunScript(flagged);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->hedges_issued, 0u);
   EXPECT_EQ(report->summary_text.find("hedge:"), std::string::npos);
   // Without the flag the directive takes effect: the stats block now
   // carries the hedge accounting line (all zeros on this tiny workload —
   // arming alone must not fabricate hedges).
-  ScriptOptions directive_only;
-  directive_only.print_stats = true;
-  auto armed = RunScript(*script, directive_only);
+  Script directive_only = *script;
+  directive_only.options.print_stats = true;
+  auto armed = RunScript(directive_only);
   ASSERT_TRUE(armed.ok()) << armed.status().ToString();
   EXPECT_NE(armed->summary_text.find("hedge: 0 issued"), std::string::npos);
 }
@@ -648,17 +696,17 @@ TEST(ScriptRunTest, DomainOutageFlagAttachesToScriptDomains) {
       "fact r(7)\n"
       "insert l(10, 20)\n");
   ASSERT_TRUE(script.ok()) << script.status().ToString();
-  ScriptOptions options;
-  options.domain_outages["ghost"].push_back(OutageWindow{0, 4});
-  auto report = RunScript(*script, options);
+  Script ghost = *script;
+  ghost.options.domain_outages["ghost"].push_back(OutageWindow{0, 4});
+  auto report = RunScript(ghost);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(report.status().message().find("ghost"), std::string::npos);
   // Named correctly it applies: the whole run happens inside the window,
   // so the remote check defers instead of resolving.
-  ScriptOptions dark;
-  dark.domain_outages["rackA"].push_back(OutageWindow{0, 100});
-  auto deferred = RunScript(*script, dark);
+  Script dark = *script;
+  dark.options.domain_outages["rackA"].push_back(OutageWindow{0, 100});
+  auto deferred = RunScript(dark);
   ASSERT_TRUE(deferred.ok()) << deferred.status().ToString();
   EXPECT_EQ(deferred->updates_deferred, 1u);
 }

@@ -21,10 +21,11 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "datalog/souffle_export.h"
 #include "manager/script.h"
@@ -33,88 +34,16 @@
 
 namespace {
 
-constexpr const char kUsage[] =
+constexpr const char kUsageHead[] =
     "usage: ccpi_check [flags] <workload.ccpi>\n"
     "\n"
-    "  --export-souffle        print a Souffle .dl translation and exit\n"
-    "  --stats                 print retry/deferred/breaker statistics\n"
-    "                          (to stderr, with the rest of the summary)\n"
-    "  --threads=N             checker threads for the per-constraint\n"
-    "                          fan-out (default 1 = sequential; reports\n"
-    "                          are identical at any thread count)\n"
-    "  --remote-cache=on|off   remote-read snapshot cache (default on;\n"
-    "                          semantically invisible — only the access\n"
-    "                          accounting changes)\n"
-    "  --plan-cache=on|off     compiled local-test plan cache (default on;\n"
-    "                          semantically invisible — reports and stats\n"
-    "                          are byte-identical either way); overrides\n"
-    "                          the script's plan_cache directive\n"
-    "  --columnar=on|off       columnar read path: frozen relations carry\n"
-    "                          a columnar segment that the RA scan/join\n"
-    "                          kernels use (default on; semantically\n"
-    "                          invisible — reports and stats are\n"
-    "                          byte-identical either way)\n"
-    "  --pipeline-depth=N      episode pipeline depth (default 1 = serial;\n"
-    "                          N>1 speculates check phases ahead while\n"
-    "                          commits stay serialized in admission order,\n"
-    "                          so stdout is byte-identical at any depth);\n"
-    "                          overrides the script's pipeline directive\n"
+    "Flags are applied after the script's directives, so a flag wins over\n"
+    "the directive of the same knob (shown as \"script: ...\").\n"
     "\n"
-    "Fault injection (simulated remote-site failures):\n"
-    "  --fault-rate=P          per-trip transient failure probability [0,1]\n"
-    "  --fault-timeout-rate=P  per-trip timeout probability [0,1]\n"
-    "  --fault-outage=A:B      hard outage for remote trips A..B-1\n"
-    "                          (repeatable)\n"
-    "  --fault-seed=N          RNG seed of the failure schedule (default 1)\n"
-    "  --fault-reject          refuse undecided updates instead of applying\n"
-    "                          them optimistically with a deferred re-check\n"
-    "\n"
-    "Topology (N remote sites, see docs/distsim.md):\n"
-    "  --sites=N               number of remote fault domains (default 1);\n"
-    "                          each site owns its own breaker, cache, and\n"
-    "                          failure schedule, and checks touching only\n"
-    "                          healthy sites keep completing during a\n"
-    "                          single-site outage\n"
-    "  --placement=p:0,q:1     pin remote predicates to sites; unpinned\n"
-    "                          predicates hash to a site deterministically\n"
-    "  --site-fault-rate=S:P   per-site override of --fault-rate\n"
-    "  --site-fault-timeout-rate=S:P\n"
-    "                          per-site override of --fault-timeout-rate\n"
-    "  --site-fault-outage=S:A:B\n"
-    "                          outage for site S's trips A..B-1 (repeatable)\n"
-    "  --site-fault-seed=S:N   per-site override of the derived seed\n"
-    "  --site-latency=S:fixed:U | S:uniform:LO:HI | S:twopoint:LO:HI:P\n"
-    "                          per-site trip-latency model (microseconds,\n"
-    "                          all >= 1, LO <= HI; twopoint draws HI with\n"
-    "                          probability P, else LO; draws are\n"
-    "                          deterministic per seed; repeatable)\n"
-    "  --hedge-after=N         hedge a batched remote read whose drawn\n"
-    "                          latency exceeds N x the site's observed\n"
-    "                          EWMA with one deterministic backup trip\n"
-    "                          (0 = off, default; each issued hedge bills\n"
-    "                          one extra trip, tuples are counted once)\n"
-    "  --domains=NAME:S0+S1,...\n"
-    "                          correlated failure domains; a site may\n"
-    "                          belong to at most one (replaces the\n"
-    "                          script's domain directives wholesale)\n"
-    "  --domain-outage=NAME:A:B\n"
-    "                          outage for trips A..B of every member site\n"
-    "                          of NAME (repeatable; implies fault\n"
-    "                          injection)\n"
-    "\n"
-    "Execution budgets and overload control (see docs/budgets.md):\n"
-    "  --deadline-ms=N         wall-clock budget per update episode; checks\n"
-    "                          that would run past it are shed to the\n"
-    "                          deferred queue (0 = no deadline, default)\n"
-    "  --max-fixpoint-rounds=N per-check cap on fixpoint rounds\n"
-    "                          (0 = unlimited, default)\n"
-    "  --max-derived-tuples=N  per-check cap on derived tuples\n"
-    "                          (0 = unlimited, default)\n"
-    "  --deferred-queue-cap=N  bound on queued deferred re-checks\n"
-    "                          (0 = unbounded, default)\n"
-    "  --overflow-policy=P     reject-update | shed-oldest | block-recheck:\n"
-    "                          what to do when the queue cap is hit\n"
-    "                          (default reject-update)\n"
+    "  --help                  print this help and exit\n"
+    "  --export-souffle        print a Souffle .dl translation and exit\n";
+
+constexpr const char kUsageTail[] =
     "\n"
     "Observability:\n"
     "  --trace-out=FILE        write a Chrome trace-event JSON of the run\n"
@@ -128,7 +57,8 @@ constexpr const char kUsage[] =
     "Exit codes:\n"
     "  0  all updates verified, nothing pending\n"
     "  1  parse or internal error\n"
-    "  2  usage or I/O error\n"
+    "  2  usage or I/O error, including flags that conflict with the\n"
+    "     script's directives\n"
     "  3  at least one constraint violation (including late-detected\n"
     "     violations found when a deferred check was finally re-verified)\n"
     "  4  no violation, but some checks are still deferred pending the\n"
@@ -137,11 +67,10 @@ constexpr const char kUsage[] =
     "     update at the queue cap, or dropped queued entries (only possible\n"
     "     when a budget flag is set)\n";
 
-bool ParseStringFlag(const char* arg, const char* name, std::string* out) {
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = arg + len + 1;
-  return true;
+void PrintUsage(std::FILE* out) {
+  std::fputs(kUsageHead, out);
+  std::fputs(ccpi::ScriptKnobsHelp().c_str(), out);
+  std::fputs(kUsageTail, out);
 }
 
 bool WriteFile(const std::string& path, const std::string& content) {
@@ -166,45 +95,43 @@ int main(int argc, char** argv) {
   const char* path = nullptr;
   std::string trace_out;
   std::string metrics_out;
-  ccpi::ScriptOptions options;
+  std::vector<const char*> knob_flags;
   bool flags_ok = true;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::string(arg) == "--help" || std::string(arg) == "-h") {
-      std::fputs(kUsage, stdout);
+    std::string_view view = arg;
+    if (view == "--help" || view == "-h") {
+      PrintUsage(stdout);
       return 0;
-    } else if (std::string(arg) == "--export-souffle") {
+    } else if (view == "--export-souffle") {
       export_souffle = true;
-    } else if (ParseStringFlag(arg, "--trace-out", &trace_out)) {
-    } else if (ParseStringFlag(arg, "--metrics-out", &metrics_out)) {
-    } else {
-      // Everything configuring the run itself goes through the shared
-      // strict parser: a recognized flag with a malformed value (e.g.
-      // --threads=abc) is a hard usage error, never a silent default.
+    } else if (view.starts_with("--trace-out=")) {
+      trace_out = view.substr(view.find('=') + 1);
+    } else if (view.starts_with("--metrics-out=")) {
+      metrics_out = view.substr(view.find('=') + 1);
+    } else if (view.starts_with("--")) {
+      // Knob flags are parsed strictly here, against scratch options, so a
+      // malformed value (e.g. --threads=abc) is a usage error before the
+      // script is even read; they are applied for real after its
+      // directives.
+      ccpi::ScriptOptions scratch;
       bool matched = false;
-      ccpi::Status st = ccpi::ApplyScriptFlag(arg, &options, &matched);
-      if (!st.ok()) {
+      ccpi::Status st = ccpi::ApplyScriptFlag(arg, &scratch, &matched);
+      if (!matched) {
+        std::fprintf(stderr, "unknown flag %s\n", arg);
+        flags_ok = false;
+      } else if (!st.ok()) {
         std::fprintf(stderr, "%s\n", st.message().c_str());
         flags_ok = false;
-      } else if (!matched) {
-        if (arg[0] == '-' && arg[1] == '-') {
-          std::fprintf(stderr, "unknown flag %s\n", arg);
-          flags_ok = false;
-        } else {
-          path = arg;
-        }
+      } else {
+        knob_flags.push_back(arg);
       }
-    }
-  }
-  {
-    ccpi::Status st = ccpi::ValidateScriptOptions(options);
-    if (!st.ok()) {
-      std::fprintf(stderr, "%s\n", st.message().c_str());
-      flags_ok = false;
+    } else {
+      path = arg;
     }
   }
   if (path == nullptr || !flags_ok) {
-    std::fputs(kUsage, stderr);
+    PrintUsage(stderr);
     return 2;
   }
   std::ifstream in(path);
@@ -220,6 +147,18 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "parse error: %s\n",
                  script.status().ToString().c_str());
     return 1;
+  }
+  // Directives first, flags after: a flag wins over the directive of the
+  // same knob. Every flag parsed cleanly above, so none fails here.
+  for (const char* flag : knob_flags) {
+    bool matched = false;
+    (void)ccpi::ApplyScriptFlag(flag, &script->options, &matched);
+  }
+  ccpi::Status valid = ccpi::ValidateScriptOptions(script->options);
+  if (!valid.ok()) {
+    std::fprintf(stderr, "%s\n", valid.message().c_str());
+    PrintUsage(stderr);
+    return 2;
   }
   if (export_souffle) {
     for (const auto& [name, program] : script->constraints) {
@@ -245,9 +184,9 @@ int main(int argc, char** argv) {
   if (!metrics_out.empty() || !trace_out.empty()) {
     ccpi::obs::SetTimingEnabled(true);
   }
-  options.collect_metrics = !metrics_out.empty();
+  script->options.collect_metrics = !metrics_out.empty();
 
-  ccpi::Result<ccpi::ScriptReport> report = ccpi::RunScript(*script, options);
+  ccpi::Result<ccpi::ScriptReport> report = ccpi::RunScript(*script);
   if (!report.ok()) {
     std::fprintf(stderr, "run error: %s\n",
                  report.status().ToString().c_str());
