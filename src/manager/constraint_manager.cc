@@ -5,7 +5,6 @@
 #include "core/cqc_form.h"
 #include "core/icq_compiler.h"
 #include "core/local_test.h"
-#include "core/ra_local_test.h"
 #include "datalog/unfold.h"
 #include "eval/engine.h"
 #include "obs/trace.h"
@@ -47,9 +46,11 @@ Update InverseOf(const Update& u) {
                                          : Update::Insert(u.pred, u.tuple);
 }
 
-/// Whether the effect of `u` is still visible in `db` (nothing has undone
-/// or superseded it). Guards compensation: never "roll back" an update
-/// whose effect is already gone.
+/// Whether the effect of `u` is visible in `db` (nothing has undone or
+/// superseded it). Guards compensation: never "roll back" an update whose
+/// effect is already gone. Before an update is applied, it is the no-op
+/// test: inserting a present tuple or deleting an absent one cannot change
+/// any constraint.
 bool EffectPresent(const Update& u, const Database& db) {
   bool contains = db.Contains(u.pred, u.tuple);
   return u.kind == Update::Kind::kInsert ? contains : !contains;
@@ -159,16 +160,10 @@ void ConstraintManager::InitObservability() {
       metrics_.GetCounter("manager.deferred.violations");
   ctr_t3_admitted_ = metrics_.GetCounter("manager.t3_admitted");
   ctr_shed_ = metrics_.GetCounter("manager.shed_checks");
-  // Plan-cache instrumentation exists only while the cache is on, so a
-  // --plan-cache=off metrics dump stays byte-identical to the pre-cache
-  // catalog. Every increment site sits on a cache-only path, so the null
-  // handles are never dereferenced while disabled.
-  if (plan_cache_.enabled) {
-    ctr_plan_compiles_ = metrics_.GetCounter("plan.compiles");
-    ctr_plan_hits_ = metrics_.GetCounter("plan.hits");
-    ctr_plan_delta_ = metrics_.GetCounter("plan.delta_tuples");
-    hist_plan_compile_ = metrics_.GetHistogram("plan.compile_latency_ns");
-  }
+  ctr_plan_compiles_ = metrics_.GetCounter("plan.compiles");
+  ctr_plan_hits_ = metrics_.GetCounter("plan.hits");
+  ctr_plan_delta_ = metrics_.GetCounter("plan.delta_tuples");
+  hist_plan_compile_ = metrics_.GetHistogram("plan.compile_latency_ns");
   ctr_budget_exhausted_ = metrics_.GetCounter("manager.budget_exhausted");
   ctr_deferred_dropped_ = metrics_.GetCounter("manager.deferred.dropped");
   // Hedge counters exist only with hedging armed, and the latency-shed
@@ -237,6 +232,7 @@ ConstraintManager::ConstraintManager(
       budget_(budget),
       budget_armed_(budget.armed()),
       retry_rng_(resilience.retry_seed),
+      plans_(plan_cache.enabled),
       pipeline_(pipeline),
       pool_(std::make_unique<ThreadPool>(parallel.threads)) {
   // One independent fault domain per site: each gets its own breaker
@@ -346,6 +342,15 @@ Result<bool> ConstraintManager::AddConstraint(const std::string& name,
   // episodes before touching it.
   DrainInflightInternal();
   CCPI_DCHECK(inflight_.empty());
+  // The name identifies the constraint in plan-cache keys, reports and
+  // the deferred queue, so a second constraint under it would be checked
+  // with the first one's cached plans.
+  for (const Registered& r : constraints_) {
+    if (r.name == name) {
+      return Status::InvalidArgument("constraint " + name +
+                                     " is already registered");
+    }
+  }
   std::vector<Program> active;
   for (const Registered& r : constraints_) {
     if (!r.subsumed) active.push_back(r.program);
@@ -395,29 +400,19 @@ Result<bool> ConstraintManager::AddConstraint(const std::string& name,
   return subsumed;
 }
 
-struct ConstraintManager::Tier2Artifacts {
-  Rule rule;                            // the unfolded single-CQ form
-  bool arithmetic_free = false;         // Theorem 5.3 applies
-  std::optional<IcqCompilation> icq;    // Fig 6.1 machinery, if applicable
-  std::optional<Cqc> cqc;               // general Theorem 5.2 form
-};
-
-std::shared_ptr<const ConstraintManager::Tier2Artifacts>
-ConstraintManager::PrepareTier2(Registered* r,
+std::shared_ptr<const PlanCache::Tier2Artifacts>
+ConstraintManager::PrepareTier2(const Registered& r,
                                 const std::string& local_pred) {
-  // tier2_mu_ makes the lazy per-(constraint, predicate) cache safe under
-  // concurrent episode speculation: within one episode each lane owns its
-  // Registered, but two in-flight episodes may touch the same one. Two
-  // racing builders compile identical artifacts (pure function of the
-  // program and predicate); the first insert wins.
-  {
-    std::lock_guard<std::mutex> lock(tier2_mu_);
-    auto it = r->tier2.find(local_pred);
-    if (it != r->tier2.end()) return it->second;
-  }
+  // Uncounted in plan.*: the artifacts are per (constraint, predicate),
+  // not per update pattern. Two racing builders (concurrent episode
+  // speculations) compile identical artifacts, a pure function of the
+  // program and predicate; the first insert wins.
+  const std::string key = r.name + '\x1f' + local_pred;
+  if (auto cached = plans_.FindTier2(key)) return *cached;
 
+  using Tier2Artifacts = PlanCache::Tier2Artifacts;
   std::shared_ptr<const Tier2Artifacts> artifacts;  // null = inapplicable
-  Result<UCQ> unfolded = UnfoldToUCQ(r->program);
+  Result<UCQ> unfolded = UnfoldToUCQ(r.program);
   if (unfolded.ok() && unfolded->size() == 1 &&
       !(*unfolded)[0].HasNegation()) {
     auto built = std::make_shared<Tier2Artifacts>();
@@ -432,19 +427,19 @@ ConstraintManager::PrepareTier2(Registered* r,
       artifacts = std::move(built);
     }
   }
-  std::lock_guard<std::mutex> lock(tier2_mu_);
-  return r->tier2.emplace(local_pred, artifacts).first->second;
+  return plans_.StoreTier2(key, std::move(artifacts));
 }
 
-Result<CheckReport> ConstraintManager::CheckOne(Registered* r, const Update& u,
-                                                const UpdateSignature* sig,
+Result<CheckReport> ConstraintManager::CheckOne(const Registered& r,
+                                                const Update& u,
+                                                const UpdateSignature& sig,
                                                 const CheckContext& ctx) {
   obs::Span span("manager.check", "manager");
   obs::Stopwatch sw;
   Result<CheckReport> report = CheckOneImpl(r, u, sig, ctx);
   if (report.ok()) {
     if (span.active()) {
-      span.Attr("constraint", r->name);
+      span.Attr("constraint", r.name);
       span.Attr("tier", TierToString(report->tier));
       span.Attr("outcome", OutcomeToString(report->outcome));
     }
@@ -454,13 +449,13 @@ Result<CheckReport> ConstraintManager::CheckOne(Registered* r, const Update& u,
 }
 
 Result<CheckReport> ConstraintManager::CheckOneImpl(
-    Registered* r, const Update& u, const UpdateSignature* sig,
+    const Registered& r, const Update& u, const UpdateSignature& sig,
     const CheckContext& ctx) {
   CheckReport report;
-  report.constraint = r->name;
+  report.constraint = r.name;
 
   // Tier 1 prefilter: the constraint cannot see the updated relation.
-  if (!Mentions(r->program, u.pred)) {
+  if (!Mentions(r.program, u.pred)) {
     report.outcome = Outcome::kHolds;
     report.tier = Tier::kUnaffected;
     return report;
@@ -469,8 +464,7 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
   // The plan-cache key for this (constraint, update pattern). Keys embed
   // the constraint id, so under the phase-1 fan-out each lane touches a
   // disjoint key family and cache contents stay thread-count independent.
-  const std::string plan_key =
-      sig != nullptr ? r->name + '\x1f' + sig->Key() : std::string();
+  const std::string plan_key = r.name + '\x1f' + sig.Key();
 
   // Tier 1: constraints + update only (Section 4). The decision is a pure
   // function of (constraint, update pattern, active constraint set): it
@@ -479,10 +473,9 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
   // verdict — memoizable per pattern, as long as no active program carries
   // an order comparison (those can distinguish same-shape tuples; see
   // docs/plan_cache.md). AddConstraint invalidates the memo wholesale.
-  const bool tier1_memo = sig != nullptr && plan_sig_safe_;
   bool tier1_known = false;
   bool tier1_holds = false;
-  if (tier1_memo) {
+  if (plan_sig_safe_) {
     if (std::optional<PlanCache::Tier1Decision> memo =
             plans_.FindTier1(plan_key)) {
       ctr_plan_hits_->Add(1);
@@ -494,12 +487,12 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
     obs::Stopwatch compile_sw;
     std::vector<Program> assumed;
     for (const Registered& other : constraints_) {
-      if (!other.subsumed && other.name != r->name) {
+      if (!other.subsumed && other.name != r.name) {
         assumed.push_back(other.program);
       }
     }
     Result<ContainmentDecision> independent =
-        HoldsAfterUpdate(r->program, u, assumed);
+        HoldsAfterUpdate(r.program, u, assumed);
     if (!independent.ok() &&
         independent.status().code() != StatusCode::kUnsupported) {
       return independent.status();
@@ -507,9 +500,8 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
     tier1_holds =
         independent.ok() && independent->outcome == Outcome::kHolds;
     // Memoize both verdicts — holds and falls-through — but never an
-    // error path (kUnsupported falls through cold every time, exactly
-    // like the uncached code).
-    if (tier1_memo) {
+    // error path (kUnsupported falls through cold every time).
+    if (plan_sig_safe_) {
       plans_.StoreTier1(plan_key, PlanCache::Tier1Decision{tier1_holds});
       ctr_plan_compiles_->Add(1);
       compile_sw.RecordTo(hist_plan_compile_);
@@ -526,7 +518,8 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
   // artifacts are cached per (constraint, predicate). Local reads never
   // fail: tiers 0-2 keep answering through any remote outage.
   if (u.kind == Update::Kind::kInsert && site_.IsLocal(u.pred)) {
-    std::shared_ptr<const Tier2Artifacts> t2 = PrepareTier2(r, u.pred);
+    std::shared_ptr<const PlanCache::Tier2Artifacts> t2 =
+        PrepareTier2(r, u.pred);
     if (t2 != nullptr) {
       // Tier 2 may only trust *verified* local data. A tuple applied
       // optimistically while its own check is still deferred must not
@@ -571,43 +564,32 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
         // It reads L from the database directly, so it is skipped when
         // unverified tuples would be visible there.
         //
-        // With the plan cache on, the Theorem 5.3 compilation happens once
-        // per update pattern: the compiled template is cached and later
-        // same-shape tuples are *bound* into it (delta evaluation) instead
-        // of recompiling. The evaluation itself is never skipped — except
-        // by the bound-result memo, which replays an identical recorded
-        // read sequence — so reports and access accounting match the cold
-        // path byte for byte.
-        std::shared_ptr<const RaPlanTemplate> tpl;
-        if (sig != nullptr) {
-          tpl = plans_.FindTemplate(plan_key);
-          if (tpl != nullptr) {
-            ctr_plan_hits_->Add(1);
-          } else {
-            obs::Stopwatch compile_sw;
-            Result<RaPlanTemplate> built =
-                CompileRaPlan(t2->rule, u.pred, u.tuple);
-            if (built.ok()) {
-              tpl = plans_.StoreTemplate(
-                  plan_key,
-                  std::make_shared<const RaPlanTemplate>(std::move(*built)));
-              ctr_plan_compiles_->Add(1);
-              compile_sw.RecordTo(hist_plan_compile_);
-            }
-            // A failed compile falls through undecided, exactly like a
-            // failed RaLocalTestOnInsert below — and is not cached, so
-            // error behavior stays per-update.
+        // The Theorem 5.3 compilation happens once per update pattern: the
+        // compiled template is cached and later same-shape tuples are
+        // *bound* into it (delta evaluation) instead of recompiling. The
+        // evaluation itself is never skipped — except by the bound-result
+        // memo, which replays an identical recorded read sequence — so
+        // reports and access accounting do not depend on the cache.
+        std::shared_ptr<const RaPlanTemplate> tpl =
+            plans_.FindTemplate(plan_key);
+        if (tpl != nullptr) {
+          ctr_plan_hits_->Add(1);
+        } else {
+          obs::Stopwatch compile_sw;
+          Result<RaPlanTemplate> built =
+              CompileRaPlan(t2->rule, u.pred, u.tuple);
+          if (built.ok()) {
+            tpl = plans_.StoreTemplate(
+                plan_key,
+                std::make_shared<const RaPlanTemplate>(std::move(*built)));
+            ctr_plan_compiles_->Add(1);
+            compile_sw.RecordTo(hist_plan_compile_);
           }
+          // A failed compile falls through undecided and is not cached,
+          // so error behavior stays per-update.
         }
         if (tpl != nullptr) {
           Result<Outcome> o = EvalPlannedRa(*tpl, u, plan_key, ctx);
-          if (o.ok()) {
-            outcome = *o;
-            decided = true;
-          }
-        } else if (sig == nullptr) {
-          Result<Outcome> o = RaLocalTestOnInsert(
-              t2->rule, u.pred, u.tuple, *ctx.db, ctx.observer, &metrics_);
           if (o.ok()) {
             outcome = *o;
             decided = true;
@@ -638,19 +620,59 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
   return report;
 }
 
+Status ConstraintManager::CheckAllLocally(const Update& u, bool noop,
+                                          const CheckContext& ctx,
+                                          bool fan_out,
+                                          std::vector<CheckReport>* reports,
+                                          std::vector<Status>* check_status) {
+  // Each lane owns exactly one constraint's slots and reads only through
+  // `ctx`; every shared sink on this path (AccessStats, metrics counters,
+  // Relation index builds, the plan cache) is atomic or internally locked,
+  // and their final values are order-independent sums — so the fan-out is
+  // report- and stats-equivalent to the sequential loop.
+  reports->assign(constraints_.size(), CheckReport{});
+  check_status->assign(constraints_.size(), Status::OK());
+  // The update signature: the per-pattern plan-cache key component shared
+  // by every constraint's check (a no-op update checks nothing).
+  std::optional<UpdateSignature> sig;
+  if (!noop) sig = MakeUpdateSignature(u, plan_constants_);
+  auto check = [&](size_t i) -> Status {
+    const Registered& r = constraints_[i];
+    if (r.subsumed) {
+      (*reports)[i] = CheckReport{r.name, Outcome::kHolds, Tier::kSubsumed};
+    } else if (noop) {
+      (*reports)[i] = CheckReport{r.name, Outcome::kHolds, Tier::kUnaffected};
+    } else if (Result<CheckReport> report = CheckOne(r, u, *sig, ctx);
+               report.ok()) {
+      (*reports)[i] = std::move(*report);
+    } else {
+      // Surfaced at this constraint's position in the commit phase, so
+      // error reporting matches the sequential order.
+      (*check_status)[i] = report.status();
+      (*reports)[i].tier = Tier::kFullCheck;  // never read; keep defined
+    }
+    return Status::OK();
+  };
+  if (fan_out) return pool_->ParallelFor(constraints_.size(), check);
+  for (size_t i = 0; i < constraints_.size(); ++i) {
+    CCPI_RETURN_IF_ERROR(check(i));
+  }
+  return Status::OK();
+}
+
 Result<Outcome> ConstraintManager::EvalPlannedRa(const RaPlanTemplate& tpl,
                                                  const Update& u,
                                                  const std::string& plan_key,
                                                  const CheckContext& ctx) {
-  // Mirror of RaLocalTestOnInsert over a prebuilt template: trivial
-  // outcomes are shape-stable, so they transfer to every bound tuple.
+  // The Theorem 5.3 local test over a prebuilt template: trivial outcomes
+  // are shape-stable, so they transfer to every bound tuple.
   if (tpl.trivially_holds) return Outcome::kHolds;
   if (tpl.trivially_violated) return Outcome::kViolated;
   RaExprPtr bound = tpl.Bind(u.tuple);
   ctr_plan_delta_->Add(1);
 #ifndef NDEBUG
-  // Same locality guarantee the cold path enforces: a bound Theorem 5.3
-  // test reads only the updated local relation.
+  // Locality guarantee of Theorem 5.3: a bound test reads only the
+  // updated local relation.
   {
     std::set<std::string> scans;
     bound->CollectScanPreds(&scans);
@@ -712,12 +734,19 @@ bool ConstraintManager::AllBreakersClosed() const {
   return true;
 }
 
+bool ConstraintManager::AnySiteReachable() const {
+  for (const std::unique_ptr<CircuitBreaker>& b : breakers_) {
+    if (b->WouldAllow()) return true;
+  }
+  return false;
+}
+
 Result<bool> ConstraintManager::EvaluateRemote(const Program& program,
                                                const Database& db,
                                                const std::set<size_t>& gsites,
                                                size_t* retries_out,
                                                const BudgetScope* scope,
-                                               const std::string* plan_key) {
+                                               const std::string& plan_key) {
   obs::Span span("manager.evaluate_remote", "manager");
   if (scope != nullptr) {
     // Admission: a check whose envelope is already spent performs no
@@ -735,13 +764,10 @@ Result<bool> ConstraintManager::EvaluateRemote(const Program& program,
   // episode. The snapshot/delta read is race-free because the retriable
   // path below only exists under fault injection, which forces tier 3
   // sequential.
-  const bool multi = site_.sites() > 1;
   std::vector<size_t> failures_before;
-  if (multi) {
-    failures_before.reserve(gsites.size());
-    for (size_t s : gsites) {
-      failures_before.push_back(site_.site_stats(s).remote_failures);
-    }
+  failures_before.reserve(gsites.size());
+  for (size_t s : gsites) {
+    failures_before.push_back(site_.site_stats(s).remote_failures);
   }
   obs::Stopwatch sw;
   bool violated = false;
@@ -751,35 +777,26 @@ Result<bool> ConstraintManager::EvaluateRemote(const Program& program,
         options.observer = &site_;
         options.metrics = &metrics_;
         options.budget = scope;
-        // With the plan cache on, the program's evaluation-independent
-        // analysis (safety, stratification, predicate partition) runs once
-        // per constraint instead of once per attempt. Only successful
-        // compiles are cached: a failing program surfaces the identical
-        // status on every attempt, cold or cached. Evaluation of a
-        // compiled plan issues the same reads, metrics, and budget
-        // checkpoints as the uncompiled overload.
-        Result<bool> r = [&]() -> Result<bool> {
-          if (plan_cache_.enabled && plan_key != nullptr) {
-            std::shared_ptr<const CompiledProgram> plan =
-                plans_.FindProgram(*plan_key);
-            if (plan == nullptr) {
-              obs::Stopwatch compile_sw;
-              Result<CompiledProgram> built = CompileProgram(program);
-              if (!built.ok()) return built.status();
-              plan = plans_.StoreProgram(
-                  *plan_key,
-                  std::make_shared<const CompiledProgram>(std::move(*built)));
-              ctr_plan_compiles_->Add(1);
-              compile_sw.RecordTo(hist_plan_compile_);
-            } else {
-              ctr_plan_hits_->Add(1);
-            }
-            return IsViolated(*plan, db, options);
-          }
-          return IsViolated(program, db, options);
-        }();
-        if (!r.ok()) return r.status();
-        violated = *r;
+        // The program's evaluation-independent analysis (safety,
+        // stratification, predicate partition) runs once per constraint
+        // instead of once per attempt. Only successful compiles are
+        // cached: a failing program surfaces the identical status on
+        // every attempt.
+        std::shared_ptr<const CompiledProgram> plan =
+            plans_.FindProgram(plan_key);
+        if (plan == nullptr) {
+          obs::Stopwatch compile_sw;
+          CCPI_ASSIGN_OR_RETURN(CompiledProgram built,
+                                CompileProgram(program));
+          plan = plans_.StoreProgram(
+              plan_key,
+              std::make_shared<const CompiledProgram>(std::move(built)));
+          ctr_plan_compiles_->Add(1);
+          compile_sw.RecordTo(hist_plan_compile_);
+        } else {
+          ctr_plan_hits_->Add(1);
+        }
+        CCPI_ASSIGN_OR_RETURN(violated, IsViolated(*plan, db, options));
         return Status::OK();
       });
   sw.RecordTo(hist_remote_eval_);
@@ -796,21 +813,18 @@ Result<bool> ConstraintManager::EvaluateRemote(const Program& program,
   if (!episode.status.ok()) {
     if (IsRetriable(episode.status.code())) {
       ctr_remote_failures_->Add(1);
-      if (!multi) {
-        breakers_[0]->RecordFailure();
-      } else {
-        // Blame exactly the sites whose trips failed during this episode;
-        // a gated site that happened not to fail releases its probe claim
-        // without a verdict.
-        size_t i = 0;
-        for (size_t s : gsites) {
-          bool failed =
-              site_.site_stats(s).remote_failures > failures_before[i++];
-          if (failed) {
-            breakers_[s]->RecordFailure();
-          } else {
-            breakers_[s]->CancelProbe();
-          }
+      // Blame exactly the sites whose trips failed during this episode (a
+      // retriable status only comes from a failed, counted trip); a gated
+      // site that happened not to fail releases its probe claim without a
+      // verdict.
+      size_t i = 0;
+      for (size_t s : gsites) {
+        bool failed =
+            site_.site_stats(s).remote_failures > failures_before[i++];
+        if (failed) {
+          breakers_[s]->RecordFailure();
+        } else {
+          breakers_[s]->CancelProbe();
         }
       }
     } else if (episode.status.code() == StatusCode::kResourceExhausted) {
@@ -884,11 +898,7 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
   // answers again, earlier optimistic applies are re-verified before new
   // work builds on them. Any reachable site is reason enough to try — the
   // drain itself skips entries whose own sites are still dark.
-  bool any_would_allow = false;
-  for (const std::unique_ptr<CircuitBreaker>& b : breakers_) {
-    any_would_allow = any_would_allow || b->WouldAllow();
-  }
-  if (resilience_.auto_recheck && !deferred_.empty() && any_would_allow) {
+  if (resilience_.auto_recheck && !deferred_.empty() && AnySiteReachable()) {
     Result<std::vector<DeferredResolution>> drained =
         RecheckDeferredImpl(episode);
     if (!drained.ok()) return drained.status();
@@ -899,12 +909,7 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
   // its conflict re-run must not draw a fresh number.
   uint64_t sequence = spec != nullptr ? spec->sequence : update_sequence_++;
 
-  // A no-op update cannot change any constraint.
-  bool noop =
-      (u.kind == Update::Kind::kInsert &&
-       site_.db().Contains(u.pred, u.tuple)) ||
-      (u.kind == Update::Kind::kDelete &&
-       !site_.db().Contains(u.pred, u.tuple));
+  const bool noop = EffectPresent(u, site_.db());
 
   // Commit-map validation, after the prelude above: the breaker ticks and
   // the auto-recheck drain are part of THIS episode's commit turn, so a
@@ -947,59 +952,20 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
       CCPI_RETURN_IF_ERROR(site_.OnRead(pred, count));
     }
   } else {
-  // The episode's update signature — the per-pattern plan-cache key
-  // component shared by every constraint's check below. Null when the
-  // cache is off (or the update is a no-op, which skips checking): every
-  // cached path downstream is then bypassed.
-  std::optional<UpdateSignature> plan_sig;
-  if (plan_cache_.enabled && !noop) {
-    plan_sig = MakeUpdateSignature(u, plan_constants_);
-  }
-  const UpdateSignature* sig = plan_sig.has_value() ? &*plan_sig : nullptr;
-
-  // ---- Phase 1 (read-only, parallel): settle every constraint as far as
-  // local information allows. Each lane owns exactly one Registered (its
-  // tier-2 cache included), reads the frozen database, and writes its own
-  // report slot; all shared sinks on this path (AccessStats, metrics
-  // counters, Relation index builds) are atomic or internally locked, and
-  // their final values are order-independent sums — so the fan-out is
-  // report- and stats-equivalent to the sequential loop.
-  const CheckContext live_ctx{&site_.db(), &site_, &deferred_};
-  reports.resize(constraints_.size());
-  check_status.resize(constraints_.size());
-  bool parallel_checks = pool_->thread_count() > 1 && !noop &&
-                         constraints_.size() > 1;
-  if (parallel_checks || Relation::ColumnarEnabled()) {
-    // Build every column index up front so checker threads mostly take the
-    // shared (reader) path through Relation::Probe. With the columnar path
-    // on, freezing also builds the segments the scan/join kernels dispatch
-    // on — sequential runs want that too (freezing is stats-invisible:
-    // it charges no accesses and draws no faults).
-    site_.db().FreezeIndexes();
-  }
-  CCPI_RETURN_IF_ERROR(
-      pool_->ParallelFor(constraints_.size(), [&](size_t i) -> Status {
-        Registered& r = constraints_[i];
-        if (r.subsumed) {
-          reports[i] = CheckReport{r.name, Outcome::kHolds, Tier::kSubsumed};
-          return Status::OK();
-        }
-        if (noop) {
-          reports[i] =
-              CheckReport{r.name, Outcome::kHolds, Tier::kUnaffected};
-          return Status::OK();
-        }
-        Result<CheckReport> report = CheckOne(&r, u, sig, live_ctx);
-        if (!report.ok()) {
-          // Surfaced at this constraint's position in the commit phase, so
-          // error reporting matches the sequential order.
-          check_status[i] = report.status();
-          reports[i].tier = Tier::kFullCheck;  // never read; keep defined
-          return Status::OK();
-        }
-        reports[i] = std::move(*report);
-        return Status::OK();
-      }));
+    // ---- Phase 1 (read-only, parallel) on the live database.
+    bool parallel_checks = pool_->thread_count() > 1 && !noop &&
+                           constraints_.size() > 1;
+    if (parallel_checks || Relation::ColumnarEnabled()) {
+      // Build every column index up front so checker threads mostly take
+      // the shared (reader) path through Relation::Probe. With the
+      // columnar path on, freezing also builds the segments the scan/join
+      // kernels dispatch on — sequential runs want that too (freezing is
+      // stats-invisible: it charges no accesses and draws no faults).
+      site_.db().FreezeIndexes();
+    }
+    CCPI_RETURN_IF_ERROR(CheckAllLocally(
+        u, noop, CheckContext{&site_.db(), &site_, &deferred_},
+        /*fan_out=*/true, &reports, &check_status));
   }
 
   // ---- Phase 2 (serialized commit): counters and the tier-3 worklist,
@@ -1038,20 +1004,16 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
 
     // Route the episode's remote trips — prefetch included — through the
     // budget for the duration of the tier-3 block, so a passed deadline
-    // refuses trips before paying them. With one site the episode scope
-    // itself is installed (exactly the pre-topology behavior); with N
-    // sites each site gets an equal child scope so one hot site cannot
-    // starve the trips of the others.
+    // refuses trips before paying them. Each site gets an equal child
+    // scope so one hot site cannot starve the trips of the others; at one
+    // site Split(1) keeps every cap, the deadline and the cancel token of
+    // the episode scope, whose trip counter is still 0 here.
     std::vector<BudgetScope> site_scopes;
     if (budget_armed_) {
-      if (site_.sites() == 1) {
-        site_.set_budget(&episode_scope);
-      } else {
-        site_scopes.resize(site_.sites());
-        for (size_t s = 0; s < site_scopes.size(); ++s) {
-          site_scopes[s] = episode_scope.Split(site_.sites(), {});
-          site_.set_site_budget(s, &site_scopes[s]);
-        }
+      site_scopes.resize(site_.sites());
+      for (size_t s = 0; s < site_scopes.size(); ++s) {
+        site_scopes[s] = episode_scope.Split(site_.sites(), {});
+        site_.set_site_budget(s, &site_scopes[s]);
       }
     }
     struct SiteBudgetRestore {
@@ -1161,6 +1123,27 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
       if (worst_us == 0) return false;  // no observation yet: try the trip
       return worst_us / 1000 >= scope->remaining_ms();
     };
+    // One tier-3 evaluation into slot k. `claim` takes the breaker claims
+    // first (the sequential path, which has just gated on
+    // SitesWouldAllow).
+    auto evaluate = [&](size_t k, bool claim) {
+      const Registered& reg = constraints_[need_full[k]];
+      if (latency_projects_over(k)) {
+        lat_shed[k] = 1;
+        eval_status[k] = Status::ResourceExhausted(
+            "projected trip latency exceeds remaining deadline");
+        return;
+      }
+      if (claim) ClaimSites(reg.remote_sites);
+      Result<bool> bad =
+          EvaluateRemote(reg.program, site_.db(), reg.remote_sites,
+                         &eval_retries[k], scope_for(k), reg.name);
+      if (!bad.ok()) {
+        eval_status[k] = bad.status();
+      } else {
+        eval_bad[k] = *bad ? 1 : 0;
+      }
+    };
     if (parallel_t3 || Relation::ColumnarEnabled()) {
       // The tentative apply dirtied u.pred; re-freeze so tier 3 reads
       // built indexes (and, columnar on, fresh segments).
@@ -1169,21 +1152,7 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
     if (parallel_t3) {
       CCPI_RETURN_IF_ERROR(
           pool_->ParallelFor(need_full.size(), [&](size_t k) -> Status {
-            const Registered& reg = constraints_[need_full[k]];
-            if (latency_projects_over(k)) {
-              lat_shed[k] = 1;
-              eval_status[k] = Status::ResourceExhausted(
-                  "projected trip latency exceeds remaining deadline");
-              return Status::OK();
-            }
-            Result<bool> bad =
-                EvaluateRemote(reg.program, site_.db(), reg.remote_sites,
-                               &eval_retries[k], scope_for(k), &reg.name);
-            if (!bad.ok()) {
-              eval_status[k] = bad.status();
-              return Status::OK();
-            }
-            eval_bad[k] = *bad ? 1 : 0;
+            evaluate(k, /*claim=*/false);
             return Status::OK();
           }));
     }
@@ -1203,21 +1172,7 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
           any_deferred = true;
           continue;
         }
-        if (latency_projects_over(k)) {
-          lat_shed[k] = 1;
-          eval_status[k] = Status::ResourceExhausted(
-              "projected trip latency exceeds remaining deadline");
-        } else {
-          ClaimSites(reg.remote_sites);
-          Result<bool> bad =
-              EvaluateRemote(reg.program, site_.db(), reg.remote_sites,
-                             &eval_retries[k], scope_for(k), &reg.name);
-          if (!bad.ok()) {
-            eval_status[k] = bad.status();
-          } else {
-            eval_bad[k] = *bad ? 1 : 0;
-          }
-        }
+        evaluate(k, /*claim=*/true);
       }
       report.retries = eval_retries[k];
       if (!eval_status[k].ok()) {
@@ -1263,12 +1218,8 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
         }
         size_t cap = budget_.deferred_queue_cap;
         bool over = cap != 0 && deferred_.size() + fresh > cap;
-        bool drain_reachable = false;
-        for (const std::unique_ptr<CircuitBreaker>& b : breakers_) {
-          drain_reachable = drain_reachable || b->WouldAllow();
-        }
         if (over && budget_.overflow == OverflowPolicy::kBlockRecheck &&
-            drain_reachable) {
+            AnySiteReachable()) {
           // Block: one synchronous drain pass to make room, then re-check
           // occupancy; falls back to refusal below if it freed nothing.
           Result<std::vector<DeferredResolution>> drained =
@@ -1423,22 +1374,17 @@ ConstraintManager::RecheckDeferredImpl(const BudgetScope* episode) {
   // head, so one dead site never blocks entries for other, reachable
   // sites queued behind it. Each pass visits at most the entries present
   // when it started; draining stops once a full pass resolves nothing.
-  auto any_reachable = [&]() {
-    for (const std::unique_ptr<CircuitBreaker>& b : breakers_) {
-      if (b->WouldAllow()) return true;
-    }
-    return false;
-  };
+  //
   // The drain below reorders or resolves queue entries either way, so any
   // in-flight episode's speculation (which captured the queue at its
   // admission) is invalidated wholesale.
-  if (!deferred_.empty() && any_reachable()) ++deferred_epoch_;
+  if (!deferred_.empty() && AnySiteReachable()) ++deferred_epoch_;
   bool progress = true;
-  while (progress && !deferred_.empty() && any_reachable()) {
+  while (progress && !deferred_.empty() && AnySiteReachable()) {
     progress = false;
     size_t pass = deferred_.size();
     for (size_t i = 0; i < pass && !deferred_.empty(); ++i) {
-      if (!any_reachable()) break;
+      if (!AnySiteReachable()) break;
       DeferredCheck entry = deferred_.front();
       const Registered* reg = nullptr;
       for (const Registered& r : constraints_) {
@@ -1471,7 +1417,7 @@ ConstraintManager::RecheckDeferredImpl(const BudgetScope* episode) {
       }
       // A named site still dark: requeue without evaluating (and without
       // touching `progress`, so a queue of only-dark entries terminates
-      // the pass). With one site this is unreachable — any_reachable()
+      // the pass). With one site this is unreachable — AnySiteReachable()
       // above is the same predicate.
       if (!SitesWouldAllow(reg->remote_sites)) {
         deferred_.pop_front();
@@ -1491,7 +1437,7 @@ ConstraintManager::RecheckDeferredImpl(const BudgetScope* episode) {
       size_t recheck_retries = 0;
       Result<bool> bad = EvaluateRemote(reg->program, scratch,
                                         reg->remote_sites, &recheck_retries,
-                                        scope, &reg->name);
+                                        scope, reg->name);
       if (scope != nullptr) {
         for (size_t s = 0; s < site_.sites(); ++s) {
           site_.set_site_budget(s, prev_budgets[s]);
@@ -1547,10 +1493,7 @@ Result<ConstraintManager::TransactionResult> ConstraintManager::ApplyTransaction
   // Remember which updates actually change state, for exact rollback.
   std::vector<Update> applied;
   for (const Update& u : updates) {
-    bool noop = (u.kind == Update::Kind::kInsert &&
-                 site_.db().Contains(u.pred, u.tuple)) ||
-                (u.kind == Update::Kind::kDelete &&
-                 !site_.db().Contains(u.pred, u.tuple));
+    bool noop = EffectPresent(u, site_.db());
     CCPI_ASSIGN_OR_RETURN(std::vector<CheckReport> reports, ApplyUpdate(u));
     bool refused = UpdateRefused(reports);
     result.reports.push_back(std::move(reports));
@@ -1642,10 +1585,11 @@ void ConstraintManager::SpeculateEpisode(Episode* e) {
       // stray exception just downgrades the episode to a cold run.
       e->speculated = false;
     }
-    {
-      std::lock_guard<std::mutex> lock(e->mu);
-      e->done = true;
-    }
+    // Notify under the lock: once `done` is visible the committer may
+    // retire and destroy the episode, cv included, so the notify must
+    // finish before the committer can reacquire the mutex.
+    std::lock_guard<std::mutex> lock(e->mu);
+    e->done = true;
     e->cv.notify_all();
   });
 }
@@ -1654,42 +1598,17 @@ void ConstraintManager::SpeculatePhase1(Episode* e) {
   const Update& u = e->update;
   BufferingObserver buffer;
   const CheckContext ctx{&e->snapshot, &buffer, &e->deferred_snapshot};
-  e->noop = (u.kind == Update::Kind::kInsert &&
-             e->snapshot.Contains(u.pred, u.tuple)) ||
-            (u.kind == Update::Kind::kDelete &&
-             !e->snapshot.Contains(u.pred, u.tuple));
-
-  std::optional<UpdateSignature> plan_sig;
-  if (plan_cache_.enabled && !e->noop) {
-    plan_sig = MakeUpdateSignature(u, plan_constants_);
-  }
-  const UpdateSignature* sig = plan_sig.has_value() ? &*plan_sig : nullptr;
+  e->noop = EffectPresent(u, e->snapshot);
 
   // Phase 1 against the snapshot, sequentially on this worker: the
   // parallelism of the pipeline is across episodes, not within one.
-  e->reports.resize(constraints_.size());
-  e->check_status.resize(constraints_.size());
-  bool all_ok = true;
+  bool all_ok = CheckAllLocally(u, e->noop, ctx, /*fan_out=*/false,
+                                &e->reports, &e->check_status)
+                    .ok();
   bool violated = false;
   for (size_t i = 0; i < constraints_.size(); ++i) {
-    Registered& r = constraints_[i];
-    if (r.subsumed) {
-      e->reports[i] = CheckReport{r.name, Outcome::kHolds, Tier::kSubsumed};
-      continue;
-    }
-    if (e->noop) {
-      e->reports[i] = CheckReport{r.name, Outcome::kHolds, Tier::kUnaffected};
-      continue;
-    }
-    Result<CheckReport> report = CheckOne(&r, u, sig, ctx);
-    if (!report.ok()) {
-      e->check_status[i] = report.status();
-      e->reports[i].tier = Tier::kFullCheck;  // never read; keep defined
-      all_ok = false;
-      continue;
-    }
-    violated = violated || report->outcome == Outcome::kViolated;
-    e->reports[i] = std::move(*report);
+    all_ok = all_ok && e->check_status[i].ok();
+    violated = violated || e->reports[i].outcome == Outcome::kViolated;
   }
 
   // The validation read set. Tier 1 is db-free and tier 2 reads only the

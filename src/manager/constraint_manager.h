@@ -104,9 +104,11 @@ struct RemoteCacheConfig {
 /// ManagerStats (access accounting included) and the deferred queue are
 /// byte-identical with it off at any thread count — it only removes
 /// repeated per-update *analysis* work (tier-1 independence decisions,
-/// Theorem 5.3 compilations, tier-3 safety/stratification) by keying it on
-/// the update's pattern. `ccpi_check --plan-cache=off` and benchmarks use
-/// the switch to measure the cold-compile baseline.
+/// tier-2 artifacts, Theorem 5.3 compilations, tier-3 safety and
+/// stratification) by keying it on the update's pattern. Off builds a
+/// never-store PlanCache: the tiers run the same code and compile
+/// everything on every check. `ccpi_check --plan-cache=off` and
+/// benchmarks use the switch to measure that fully cold baseline.
 struct PlanCacheConfig {
   bool enabled = true;
 };
@@ -329,7 +331,8 @@ class ConstraintManager {
 
   /// Registers a constraint. If the already-registered constraints subsume
   /// it, it is recorded as redundant (never checked) and `subsumed` is set
-  /// in the returned flag.
+  /// in the returned flag. A name that is already registered is an
+  /// InvalidArgument error.
   ///
   /// Drain-first precondition: must not be called with episodes in flight
   /// (registration changes the active set every speculation quantifies
@@ -452,12 +455,6 @@ class ConstraintManager {
   }
 
  private:
-  // Tier-2 artifacts per (constraint, updated local predicate), compiled
-  // once and reused across updates: the unfolded single-CQ form, the
-  // Fig 6.1 interval compilation when applicable, and the normalized CQC
-  // for the general Theorem 5.2 test. Defined in the .cc.
-  struct Tier2Artifacts;
-
   struct Registered {
     std::string name;
     Program program;
@@ -474,15 +471,13 @@ class ConstraintManager {
     /// normally while the rest of the topology burns (partial
     /// degradation).
     std::set<size_t> remote_sites;
-    // Cache keyed by the updated predicate.
-    std::map<std::string, std::shared_ptr<const Tier2Artifacts>> tier2;
   };
 
-  /// Returns (compiling and caching on first use) the tier-2 artifacts of
-  /// `r` for insertions into `local_pred`; null when tier 2 is
-  /// inapplicable to this constraint.
-  std::shared_ptr<const Tier2Artifacts> PrepareTier2(
-      Registered* r, const std::string& local_pred);
+  /// Returns (compiling and storing in plans_ on first use) the tier-2
+  /// artifacts of `r` for insertions into `local_pred`; null when tier 2
+  /// is inapplicable to this constraint.
+  std::shared_ptr<const PlanCache::Tier2Artifacts> PrepareTier2(
+      const Registered& r, const std::string& local_pred);
 
   /// Resolves the metric handles (and plugs the registry into site_).
   /// Called once from the constructor; handles are stable thereafter.
@@ -502,16 +497,25 @@ class ConstraintManager {
 
   /// CheckOne wraps CheckOneImpl with a span and the per-tier latency
   /// histogram; ApplyUpdate likewise wraps ApplyUpdateImpl. `sig` is the
-  /// episode's update signature — the per-pattern plan-cache key component
-  /// — or null when the plan cache is off (every cached path is then
-  /// bypassed and the tiers run their original cold code). `ctx` routes
-  /// every tier-1/2 read (see CheckContext).
-  Result<CheckReport> CheckOne(Registered* r, const Update& u,
-                               const UpdateSignature* sig,
+  /// episode's update signature — the per-pattern plan-cache key
+  /// component (with the cache off every lookup misses and the key only
+  /// names what would have been stored). `ctx` routes every tier-1/2 read
+  /// (see CheckContext).
+  Result<CheckReport> CheckOne(const Registered& r, const Update& u,
+                               const UpdateSignature& sig,
                                const CheckContext& ctx);
-  Result<CheckReport> CheckOneImpl(Registered* r, const Update& u,
-                                   const UpdateSignature* sig,
+  Result<CheckReport> CheckOneImpl(const Registered& r, const Update& u,
+                                   const UpdateSignature& sig,
                                    const CheckContext& ctx);
+  /// Phase 1 of an episode: settles every constraint as far as local
+  /// information allows, filling one report (and one status) slot per
+  /// constraint. A no-op update resolves every active constraint as
+  /// unaffected. `fan_out` spreads the checks over the thread pool (the
+  /// live path); a speculation already runs on a pool worker and checks
+  /// sequentially.
+  Status CheckAllLocally(const Update& u, bool noop, const CheckContext& ctx,
+                         bool fan_out, std::vector<CheckReport>* reports,
+                         std::vector<Status>* check_status);
   /// `spec` is the episode whose speculation to reuse (commit path), or
   /// null for a fully serial run. When non-null and the speculation is
   /// still valid against intervening commits, phase 1 replays the buffered
@@ -535,22 +539,19 @@ class ConstraintManager {
   /// unbudgeted) was spent — never retried, never counted against any
   /// breaker (the sites did nothing wrong). `retries_out` receives the
   /// extra attempts consumed.
-  /// `plan_key` (null = uncached) names the plan-cache slot holding the
-  /// program's CompiledProgram — the constraint name suffices, since a
-  /// constraint's program never changes after registration. The cached and
-  /// cold paths are attempt-for-attempt identical: CompileProgram fails
-  /// exactly where IsViolated(Program, ...) would, and evaluation of a
-  /// compiled plan issues the same reads, metrics, and budget checkpoints.
+  /// `plan_key` names the plan-cache slot holding the program's
+  /// CompiledProgram — the constraint name suffices, since a constraint's
+  /// program never changes after registration. A failing compile is never
+  /// stored, so it surfaces the same status on every attempt.
   Result<bool> EvaluateRemote(const Program& program, const Database& db,
                               const std::set<size_t>& gsites,
-                              size_t* retries_out,
-                              const BudgetScope* scope = nullptr,
-                              const std::string* plan_key = nullptr);
+                              size_t* retries_out, const BudgetScope* scope,
+                              const std::string& plan_key);
 
   /// Tier-2 evaluation through a cached RA plan template: binds the
   /// update's tuple into the template and evaluates (or replays a memoized
-  /// same-version result). Mirrors RaLocalTestOnInsert's observable
-  /// behavior exactly — see docs/plan_cache.md. Reads through `ctx`; the
+  /// same-version result), with the observable behavior of a fresh
+  /// Theorem 5.3 compile — see docs/plan_cache.md. Reads through `ctx`; the
   /// version-keyed memo is shared across episodes (relation versions name
   /// content, so a snapshot hit is exactly a live hit).
   Result<Outcome> EvalPlannedRa(const RaPlanTemplate& tpl, const Update& u,
@@ -595,6 +596,8 @@ class ConstraintManager {
   /// has just seen SitesWouldAllow succeed).
   void ClaimSites(const std::set<size_t>& gsites);
   bool AllBreakersClosed() const;
+  /// Whether any site's breaker would currently admit a request.
+  bool AnySiteReachable() const;
   /// End-of-episode catch-up hook (multi-site only): detects sites whose
   /// breaker re-closed after being observed dark, reconciles their cache
   /// entries poisoned during the outage, and emits recovery metrics. The
@@ -628,9 +631,10 @@ class ConstraintManager {
   // no injector attached) therefore never touches it concurrently.
   Rng retry_rng_;
   std::vector<Registered> constraints_;
-  /// The compiled-plan cache (see docs/plan_cache.md). Wholesale
-  /// invalidated on AddConstraint: registration changes the active set
-  /// that tier-1 decisions quantify over and the signature constant pool.
+  /// The compiled-plan cache (see docs/plan_cache.md); never-store while
+  /// PlanCacheConfig::enabled is false. Wholesale invalidated on
+  /// AddConstraint: registration changes the active set that tier-1
+  /// decisions quantify over and the signature constant pool.
   PlanCache plans_;
   /// The distinguished-constant pool of the active constraint set, sorted
   /// and deduped — input to ShapeSignature. Rebuilt on AddConstraint.
@@ -662,10 +666,6 @@ class ConstraintManager {
   size_t conflict_streak_ = 0;
   /// Episodes left to admit without speculation before probing again.
   size_t serial_fallback_remaining_ = 0;
-  /// Guards Registered::tier2 (the only lazily-built shared state the
-  /// speculative phase 1 can write): concurrent episodes may compile the
-  /// same artifacts; first insert wins, identical by construction.
-  std::mutex tier2_mu_;
 
   std::unique_ptr<ThreadPool> pool_;
 
@@ -707,10 +707,9 @@ class ConstraintManager {
   /// True iff any site's effective cost model draws latency (non-fixed):
   /// the gate on the EWMA-projection shed and its counter.
   bool latency_aware_ = false;
-  /// Plan-cache instrumentation, resolved only when the cache is enabled
-  /// (every increment site is gated on a cache path, so the handles are
-  /// never dereferenced while disabled). Deliberately NOT part of stats():
-  /// ManagerStats must stay byte-identical cache on/off.
+  /// Plan-cache instrumentation, registered in both modes. Deliberately
+  /// NOT part of stats(): ManagerStats must stay byte-identical cache
+  /// on/off.
   obs::Counter* ctr_plan_compiles_ = nullptr;
   obs::Counter* ctr_plan_hits_ = nullptr;
   obs::Counter* ctr_plan_delta_ = nullptr;

@@ -13,8 +13,24 @@ std::optional<PlanCache::Tier1Decision> PlanCache::FindTier1(
 }
 
 void PlanCache::StoreTier1(const std::string& key, Tier1Decision decision) {
+  if (!store_) return;
   std::unique_lock<std::shared_mutex> lock(mu_);
   tier1_.emplace(key, decision);  // first insert wins
+}
+
+std::optional<std::shared_ptr<const PlanCache::Tier2Artifacts>>
+PlanCache::FindTier2(const std::string& key) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  auto it = tier2_.find(key);
+  if (it == tier2_.end()) return std::nullopt;
+  return it->second;
+}
+
+std::shared_ptr<const PlanCache::Tier2Artifacts> PlanCache::StoreTier2(
+    const std::string& key, std::shared_ptr<const Tier2Artifacts> artifacts) {
+  if (!store_) return artifacts;
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  return tier2_.emplace(key, std::move(artifacts)).first->second;
 }
 
 std::shared_ptr<const RaPlanTemplate> PlanCache::FindTemplate(
@@ -26,9 +42,9 @@ std::shared_ptr<const RaPlanTemplate> PlanCache::FindTemplate(
 
 std::shared_ptr<const RaPlanTemplate> PlanCache::StoreTemplate(
     const std::string& key, std::shared_ptr<const RaPlanTemplate> tpl) {
+  if (!store_) return tpl;
   std::unique_lock<std::shared_mutex> lock(mu_);
-  auto [it, inserted] = templates_.emplace(key, std::move(tpl));
-  return it->second;
+  return templates_.emplace(key, std::move(tpl)).first->second;
 }
 
 std::optional<PlanCache::BoundResult> PlanCache::FindResult(
@@ -40,6 +56,7 @@ std::optional<PlanCache::BoundResult> PlanCache::FindResult(
 }
 
 void PlanCache::StoreResult(const std::string& key, BoundResult result) {
+  if (!store_) return;
   std::unique_lock<std::shared_mutex> lock(mu_);
   results_.emplace(key, std::move(result));
 }
@@ -53,14 +70,15 @@ std::shared_ptr<const CompiledProgram> PlanCache::FindProgram(
 
 std::shared_ptr<const CompiledProgram> PlanCache::StoreProgram(
     const std::string& key, std::shared_ptr<const CompiledProgram> program) {
+  if (!store_) return program;
   std::unique_lock<std::shared_mutex> lock(mu_);
-  auto [it, inserted] = programs_.emplace(key, std::move(program));
-  return it->second;
+  return programs_.emplace(key, std::move(program)).first->second;
 }
 
 void PlanCache::Invalidate() {
   std::unique_lock<std::shared_mutex> lock(mu_);
   tier1_.clear();
+  tier2_.clear();
   templates_.clear();
   results_.clear();
   programs_.clear();
@@ -68,7 +86,7 @@ void PlanCache::Invalidate() {
 
 size_t PlanCache::size() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return tier1_.size() + templates_.size() + results_.size() +
+  return tier1_.size() + tier2_.size() + templates_.size() + results_.size() +
          programs_.size();
 }
 

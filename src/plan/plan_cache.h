@@ -9,6 +9,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/cqc_form.h"
+#include "core/icq_compiler.h"
 #include "eval/engine.h"
 #include "plan/ra_plan.h"
 #include "util/outcome.h"
@@ -17,15 +19,21 @@ namespace ccpi {
 
 /// Thread-safe store of compiled checking plans, keyed by strings the
 /// manager derives from (constraint id, update pattern) — see
-/// docs/plan_cache.md for the keying discipline. Four entry families:
+/// docs/plan_cache.md for the keying discipline. Five entry families:
 ///
 ///   tier-1 memo      (constraint, pattern) -> the independence decision
+///   tier-2 artifacts (constraint, updated predicate) -> Tier2Artifacts,
+///                    or null when tier 2 does not apply
 ///   RA templates     (constraint, pattern) -> RaPlanTemplate (Theorem 5.3)
 ///   bound results    (constraint, pattern, tuple, relation version) ->
 ///                    a tier-2 evaluation's outcome plus its exact observed
 ///                    reads, replayable while the version stamp still
-///                    matches (PR 4 stamps: equal version => equal contents)
+///                    matches (equal version => equal contents)
 ///   compiled programs (constraint) -> the tier-3 CompiledProgram
+///
+/// A never-store cache (`PlanCache(false)`, the manager's plan cache off)
+/// keeps nothing: every Find misses and every Store returns its argument,
+/// so callers run one code path whether the cache is on or off.
 ///
 /// Lookups take the shared lock, stores the exclusive lock; compilation
 /// always happens outside any lock. Store is first-insert-wins: when two
@@ -36,6 +44,8 @@ namespace ccpi {
 /// rely on that.)
 class PlanCache {
  public:
+  explicit PlanCache(bool store = true) : store_(store) {}
+
   /// The memoized tier-1 verdict for an update pattern: holds (resolve at
   /// kIndependence) or falls through to tier 2.
   struct Tier1Decision {
@@ -50,8 +60,25 @@ class PlanCache {
     std::vector<std::pair<std::string, size_t>> reads;
   };
 
+  /// The tier-2 compilation of one constraint for insertions into one
+  /// local predicate: the unfolded single-CQ form, the Fig 6.1 interval
+  /// compilation when applicable, and the normalized CQC for the general
+  /// Theorem 5.2 test.
+  struct Tier2Artifacts {
+    Rule rule;                          // the unfolded single-CQ form
+    bool arithmetic_free = false;       // Theorem 5.3 applies
+    std::optional<IcqCompilation> icq;  // Fig 6.1 machinery, if applicable
+    std::optional<Cqc> cqc;             // general Theorem 5.2 form
+  };
+
   std::optional<Tier1Decision> FindTier1(const std::string& key) const;
   void StoreTier1(const std::string& key, Tier1Decision decision);
+
+  /// nullopt on a miss; a stored null means tier 2 does not apply.
+  std::optional<std::shared_ptr<const Tier2Artifacts>> FindTier2(
+      const std::string& key) const;
+  std::shared_ptr<const Tier2Artifacts> StoreTier2(
+      const std::string& key, std::shared_ptr<const Tier2Artifacts> artifacts);
 
   std::shared_ptr<const RaPlanTemplate> FindTemplate(
       const std::string& key) const;
@@ -77,8 +104,11 @@ class PlanCache {
   size_t size() const;
 
  private:
+  const bool store_;
   mutable std::shared_mutex mu_;
   std::unordered_map<std::string, Tier1Decision> tier1_;
+  std::unordered_map<std::string, std::shared_ptr<const Tier2Artifacts>>
+      tier2_;
   std::unordered_map<std::string, std::shared_ptr<const RaPlanTemplate>>
       templates_;
   std::unordered_map<std::string, BoundResult> results_;

@@ -20,6 +20,19 @@ uint64_t SplitCap(uint64_t cap, size_t ways) {
   return std::max<uint64_t>(cap / ways, 1);
 }
 
+// now + ms, clamped to the clock's last instant: a deadline_ms near 2^63 ns
+// or beyond would overflow the time_point and fire at once.
+std::chrono::steady_clock::time_point DeadlineFromNow(uint64_t ms) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point now = Clock::now();
+  const auto headroom = std::chrono::duration_cast<std::chrono::milliseconds>(
+      Clock::time_point::max() - now);
+  if (ms >= static_cast<uint64_t>(headroom.count())) {
+    return Clock::time_point::max();
+  }
+  return now + std::chrono::milliseconds(ms);
+}
+
 }  // namespace
 
 BudgetScope& BudgetScope::operator=(const BudgetScope& other) {
@@ -45,8 +58,7 @@ BudgetScope BudgetScope::Start(const ExecutionBudget& budget,
   scope.cancel_ = cancel;
   scope.active_ = budget.armed() || cancel != nullptr;
   if (budget.deadline_ms != 0) {
-    scope.deadline_ = std::chrono::steady_clock::now() +
-                      std::chrono::milliseconds(budget.deadline_ms);
+    scope.deadline_ = DeadlineFromNow(budget.deadline_ms);
   }
   return scope;
 }
@@ -68,8 +80,7 @@ BudgetScope BudgetScope::Split(size_t ways,
   if (child.budget_.deadline_ms != 0) {
     auto from_extra = std::chrono::steady_clock::time_point::max();
     if (extra.deadline_ms != 0) {
-      from_extra = std::chrono::steady_clock::now() +
-                   std::chrono::milliseconds(extra.deadline_ms);
+      from_extra = DeadlineFromNow(extra.deadline_ms);
     }
     auto from_parent = budget_.deadline_ms != 0
                            ? deadline_

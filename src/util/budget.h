@@ -31,7 +31,8 @@ class CancellationToken {
 /// or a single tier-3 evaluation). Every field uses 0 = unlimited, so a
 /// default-constructed budget imposes nothing.
 struct ExecutionBudget {
-  /// Wall-clock deadline (steady_clock) measured from BudgetScope::Start.
+  /// Wall-clock deadline (steady_clock) measured from BudgetScope::Start;
+  /// clamped to the clock's last instant when it reaches past it.
   uint64_t deadline_ms = 0;
   /// Cap on fixpoint rounds across the evaluation (all strata together).
   uint64_t max_fixpoint_rounds = 0;

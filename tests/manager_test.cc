@@ -47,6 +47,30 @@ TEST(ManagerTest, SubsumedConstraintDropped) {
   EXPECT_EQ(TierOf(*reports, "weak"), Tier::kSubsumed);
 }
 
+TEST(ManagerTest, DuplicateConstraintNameIsRejected) {
+  // Plan-cache entries are keyed by constraint name, so a second "c" would
+  // be checked with the first one's compiled tier-3 program and, with the
+  // cache on, let the violating insert below through.
+  for (bool plan_cache : {true, false}) {
+    ConstraintManager mgr({"l"}, CostModel{}, ResilienceConfig{},
+                          ParallelConfig{}, RemoteCacheConfig{},
+                          BudgetConfig{}, TopologyConfig{},
+                          PlanCacheConfig{plan_cache});
+    ASSERT_TRUE(mgr.AddConstraint("c", MustParse("panic :- l(X) & r(X)")).ok());
+    auto again = mgr.AddConstraint("c", MustParse("panic :- l(X) & s(X)"));
+    ASSERT_FALSE(again.ok());
+    EXPECT_EQ(again.status().code(), StatusCode::kInvalidArgument);
+    ASSERT_TRUE(
+        mgr.AddConstraint("c2", MustParse("panic :- l(X) & s(X)")).ok());
+    ASSERT_TRUE(mgr.site().db().Insert("s", {V(7)}).ok());
+    auto reports = mgr.ApplyUpdate(Update::Insert("l", {V(7)}));
+    ASSERT_TRUE(reports.ok());
+    EXPECT_EQ(reports->size(), 2u);
+    EXPECT_EQ(OutcomeOf(*reports, "c2"), Outcome::kViolated);
+    EXPECT_FALSE(mgr.site().db().Contains("l", {V(7)}));
+  }
+}
+
 TEST(ManagerTest, UnaffectedTier) {
   ConstraintManager mgr({"l"}, CostModel{});
   ASSERT_TRUE(mgr.AddConstraint("c", MustParse("panic :- p(X) & q(X)")).ok());

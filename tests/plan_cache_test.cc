@@ -236,6 +236,50 @@ TEST(PlanCacheTest, ConcurrentStoresConverge) {
   EXPECT_EQ(cache.FindTemplate("k"), seen[0]);
 }
 
+TEST(PlanCacheTest, NeverStoreCacheKeepsNothing) {
+  // The plan cache off: every Store hands its argument back, every Find
+  // misses, and nothing is kept in any of the five families.
+  PlanCache cache(/*store=*/false);
+  cache.StoreTier1("t1", PlanCache::Tier1Decision{true});
+  EXPECT_FALSE(cache.FindTier1("t1").has_value());
+  auto artifacts = std::make_shared<const PlanCache::Tier2Artifacts>();
+  EXPECT_EQ(cache.StoreTier2("t2", artifacts), artifacts);
+  EXPECT_FALSE(cache.FindTier2("t2").has_value());
+  auto tpl = std::make_shared<const RaPlanTemplate>();
+  EXPECT_EQ(cache.StoreTemplate("tpl", tpl), tpl);
+  EXPECT_EQ(cache.FindTemplate("tpl"), nullptr);
+  cache.StoreResult("res", PlanCache::BoundResult{Outcome::kHolds, {}});
+  EXPECT_FALSE(cache.FindResult("res").has_value());
+  auto compiled = CompileProgram(MustParse("panic :- r(X)"));
+  ASSERT_TRUE(compiled.ok());
+  auto program = std::make_shared<const CompiledProgram>(std::move(*compiled));
+  EXPECT_EQ(cache.StoreProgram("prog", program), program);
+  EXPECT_EQ(cache.FindProgram("prog"), nullptr);
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(PlanCacheTest, Tier2FamilyKeepsInapplicableAndFirstInsertWins) {
+  PlanCache cache;
+  EXPECT_FALSE(cache.FindTier2("c\x1fl").has_value());  // a miss...
+  // ...is distinct from a stored "tier 2 does not apply".
+  EXPECT_EQ(cache.StoreTier2("c\x1fr", nullptr), nullptr);
+  auto inapplicable = cache.FindTier2("c\x1fr");
+  ASSERT_TRUE(inapplicable.has_value());
+  EXPECT_EQ(*inapplicable, nullptr);
+  // First insert wins: the loser adopts the stored entry.
+  auto first = std::make_shared<const PlanCache::Tier2Artifacts>();
+  auto second = std::make_shared<const PlanCache::Tier2Artifacts>();
+  EXPECT_EQ(cache.StoreTier2("c\x1fl", first), first);
+  EXPECT_EQ(cache.StoreTier2("c\x1fl", second), first);
+  EXPECT_EQ(cache.StoreTier2("c\x1fr", second), nullptr);
+  EXPECT_EQ(cache.FindTier2("c\x1fl"), first);
+  EXPECT_EQ(cache.size(), 2u);
+  cache.Invalidate();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(cache.FindTier2("c\x1fl").has_value());
+  EXPECT_FALSE(cache.FindTier2("c\x1fr").has_value());
+}
+
 // ---- CompiledProgram == Program ------------------------------------------
 
 TEST(CompiledProgramTest, EvaluatesIdenticallyToProgramOverload) {

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <set>
 #include <thread>
 #include <vector>
@@ -447,6 +448,28 @@ TEST(BudgetTest, SplitFoldsInPerCheckExtraTightestWins) {
   EXPECT_TRUE(solo.OnFixpointRound().ok());
   EXPECT_EQ(solo.OnFixpointRound().code(),
             StatusCode::kResourceExhausted);
+}
+
+TEST(BudgetTest, HugeDeadlinesClampInsteadOfOverflowing) {
+  // now + deadline_ms past the clock's range must clamp to its last
+  // instant, not wrap around into the past and shed at once.
+  const uint64_t huge[] = {uint64_t{1} << 62,
+                           std::numeric_limits<uint64_t>::max()};
+  for (uint64_t ms : huge) {
+    ExecutionBudget budget;
+    budget.deadline_ms = ms;
+    BudgetScope scope = BudgetScope::Start(budget);
+    EXPECT_TRUE(scope.Check().ok()) << ms;
+    EXPECT_GT(scope.remaining_ms(), 0u) << ms;
+    // A child inherits the parent's absolute deadline...
+    BudgetScope child = scope.Split(2);
+    EXPECT_TRUE(child.Check().ok()) << ms;
+    EXPECT_GT(child.remaining_ms(), 0u) << ms;
+    // ...and an extra deadline counts from now.
+    BudgetScope solo = BudgetScope().Split(1, budget);
+    EXPECT_TRUE(solo.Check().ok()) << ms;
+    EXPECT_GT(solo.remaining_ms(), 0u) << ms;
+  }
 }
 
 TEST(CircuitBreakerTest, StateNames) {
