@@ -2,9 +2,9 @@
 // headline properties of the per-site fault-domain design:
 //
 //  * BATCH — a healthy run whose tier-3 worklist needs four remote
-//    relations. With one site the prefetch pays one trip per relation;
-//    with N sites the relations coalesce into one batched round trip per
-//    site, so the per-episode trip count drops as relations share a site.
+//    relations. The prefetch coalesces them into one round trip per site
+//    that owns a cold relation: one trip at one site, and at N sites one
+//    per site the four relations hash to.
 //
 //  * OUTAGE — a scripted outage-then-return per site, either aligned
 //    across sites (correlation 1: every site dark in the same trip

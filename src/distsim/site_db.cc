@@ -1,5 +1,6 @@
 #include "distsim/site_db.h"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -181,14 +182,11 @@ Status SiteDatabase::ReadRemote(const std::string& pred, size_t count) {
   return Status::OK();  // unreachable: the switch above is exhaustive
 }
 
-void SiteDatabase::SimulateTripLatency(size_t site) const {
-  const SiteState& st = *site_states_[site];
-  if (st.costs.latency_model == LatencyModel::kFixed) {
-    // The historical path: constant cost, no randomness consumed.
-    SleepUs(st.costs.trip_latency_us);
-    return;
-  }
-  SleepUs(DrawTripLatencyUs(site));
+uint64_t SiteDatabase::TripLatencyUs(size_t site) const {
+  const CostModel& cm = site_states_[site]->costs;
+  // The historical path: constant cost, no randomness consumed.
+  if (cm.latency_model == LatencyModel::kFixed) return cm.trip_latency_us;
+  return DrawTripLatencyUs(site);
 }
 
 uint64_t SiteDatabase::DrawTripLatencyUs(size_t site) const {
@@ -236,21 +234,19 @@ uint64_t SiteDatabase::DrawTripLatencyUs(size_t site) const {
   return us;
 }
 
-size_t SiteDatabase::SimulateHedgedTripLatency(size_t site) const {
-  SiteState& st = *site_states_[site];
+SiteDatabase::TripDraw SiteDatabase::DrawHedgedTrip(size_t site) const {
+  const SiteState& st = *site_states_[site];
   if (hedge_after_ == 0 || st.costs.latency_model == LatencyModel::kFixed) {
     // Hedging off, or a deterministic site (a backup could never beat the
     // primary): the plain trip, zero extra billing.
-    SimulateTripLatency(site);
-    return 0;
+    return TripDraw{TripLatencyUs(site), 0};
   }
   // Read the EWMA *before* drawing, so the threshold reflects past trips
   // only; the primary draw itself then feeds the average as usual.
   const uint64_t ewma = site_latency_ewma_us(site);
   const uint64_t primary = DrawTripLatencyUs(site);
   if (ewma == 0 || primary <= hedge_after_ * ewma) {
-    SleepUs(primary);
-    return 0;
+    return TripDraw{primary, 0};
   }
   // The primary overshot: launch the deterministic single backup at the
   // threshold instant and take whichever attempt lands first. The backup
@@ -264,13 +260,11 @@ size_t SiteDatabase::SimulateHedgedTripLatency(size_t site) const {
   if (hedged < primary) {
     hedges_won_.fetch_add(1, std::memory_order_relaxed);
     if (ctr_hedge_won_ != nullptr) ctr_hedge_won_->Add(1);
-    SleepUs(hedged);
-  } else {
-    hedges_wasted_.fetch_add(1, std::memory_order_relaxed);
-    if (ctr_hedge_wasted_ != nullptr) ctr_hedge_wasted_->Add(1);
-    SleepUs(primary);
+    return TripDraw{hedged, 1};
   }
-  return 1;
+  hedges_wasted_.fetch_add(1, std::memory_order_relaxed);
+  if (ctr_hedge_wasted_ != nullptr) ctr_hedge_wasted_->Add(1);
+  return TripDraw{primary, 1};
 }
 
 Status SiteDatabase::FetchRemote(size_t site, const std::string& pred,
@@ -288,7 +282,7 @@ Status SiteDatabase::FetchRemote(size_t site, const std::string& pred,
     // billed, no injector draw is consumed.
     CCPI_RETURN_IF_ERROR(st.budget->OnRemoteTrip());
   }
-  SimulateTripLatency(site);
+  SleepUs(TripLatencyUs(site));
   // The round trip is paid whether or not it succeeds.
   remote_trips_.fetch_add(1, std::memory_order_relaxed);
   st.remote_trips.fetch_add(1, std::memory_order_relaxed);
@@ -312,46 +306,40 @@ Status SiteDatabase::FetchRemote(size_t site, const std::string& pred,
   return Status::OK();
 }
 
-void SiteDatabase::PrefetchRemote(const std::set<std::string>& preds) {
+void SiteDatabase::PrefetchRemote(const std::set<std::string>& preds,
+                                  ThreadPool* pool, const StagedTrips* slept) {
   // Under fault injection the per-read draw alignment forbids batching;
   // the manager already skips prefetch then, this guard makes a direct
   // call harmless too.
   if (!cache_enabled_ || any_fault_injector()) return;
-  for (const std::string& pred : preds) {
-    if (IsLocal(pred)) continue;
-    const Relation& rel = cache_source().Get(pred, 0);
-    const RemoteReadCache& cache = site_states_[SiteOf(pred)]->cache;
-    if (cache.Find(pred, rel.version()) == RemoteReadCache::Lookup::kHit) {
-      continue;  // already current: no logical read happened, bill nothing
-    }
-    // The fill routes through ReadRemote so miss/invalidation counters and
-    // the fill path behave exactly as an inline read of the whole relation
-    // would. Without an injector the fetch can only fail by exhausting an
-    // attached budget; stop prefetching then — the fan-out's own reads
-    // will hit the same exhausted scope and shed.
-    Status st = ReadRemote(pred, rel.size());
-    if (!st.ok()) {
-      CCPI_DCHECK(st.code() == StatusCode::kResourceExhausted);
-      return;
-    }
-  }
-}
-
-void SiteDatabase::PrefetchRemoteBatched(const std::set<std::string>& preds,
-                                         ThreadPool* pool) {
-  if (!cache_enabled_ || any_fault_injector()) return;
   // Group the cold/stale relations by owning site: each site's batch is
-  // one coalesced round trip however many relations it carries.
+  // one coalesced round trip however many relations it carries. A site's
+  // trip was already slept iff a speculation staged every relation of its
+  // batch at the version the batch fetches now.
   std::vector<std::vector<std::string>> batches(site_states_.size());
+  std::vector<char> covered(site_states_.size(), slept != nullptr);
   for (const std::string& pred : preds) {
     if (IsLocal(pred)) continue;
     const size_t site = SiteOf(pred);
-    const Relation& rel = cache_source().Get(pred, 0);
-    if (site_states_[site]->cache.Find(pred, rel.version()) ==
-        RemoteReadCache::Lookup::kHit) {
-      continue;
+    const uint64_t version = cache_source().Get(pred, 0).version();
+    switch (site_states_[site]->cache.Find(pred, version)) {
+      case RemoteReadCache::Lookup::kHit:
+        continue;  // already current: no logical read happened, bill nothing
+      case RemoteReadCache::Lookup::kMissStale:
+        if (ctr_cache_invalidations_ != nullptr) {
+          ctr_cache_invalidations_->Add(1);
+        }
+        [[fallthrough]];
+      case RemoteReadCache::Lookup::kMissCold:
+        if (ctr_cache_misses_ != nullptr) ctr_cache_misses_->Add(1);
+        break;
     }
     batches[site].push_back(pred);
+    if (covered[site]) {
+      auto staged = slept->versions.find(pred);
+      covered[site] =
+          staged != slept->versions.end() && staged->second == version;
+    }
   }
   std::vector<size_t> work;
   for (size_t s = 0; s < batches.size(); ++s) {
@@ -368,6 +356,7 @@ void SiteDatabase::PrefetchRemoteBatched(const std::set<std::string>& preds,
       span.Attr("site", static_cast<int64_t>(site));
       span.Attr("relations", static_cast<int64_t>(batches[site].size()));
     }
+    obs::Stopwatch fill_timer;
     if (st.budget != nullptr) {
       CCPI_RETURN_IF_ERROR(st.budget->Check());
       // One budgeted trip buys the whole batch; a refusal leaves the
@@ -375,26 +364,30 @@ void SiteDatabase::PrefetchRemoteBatched(const std::set<std::string>& preds,
       // against the same exhausted scope.
       CCPI_RETURN_IF_ERROR(st.budget->OnRemoteTrip());
     }
-    // The batched trip is the hedging point: with hedging armed and a
-    // slow draw, a single backup attempt races the primary. An issued
-    // hedge bills exactly one extra physical trip (the tuples are billed
-    // once — both attempts carry the same payload); the budget's trip cap
-    // was charged once above, before paying, per the refuse-before-pay
-    // rule — the backup is the simulator's own recovery of an
-    // already-approved trip, not a second logical fetch.
-    const size_t trips = 1 + SimulateHedgedTripLatency(site);
+    // The batch trip is the hedging point: with hedging armed and a slow
+    // draw, a single backup attempt races the primary. An issued hedge
+    // bills exactly one extra physical trip (the tuples are billed once —
+    // both attempts carry the same payload); the budget's trip cap was
+    // charged once above, before paying, per the refuse-before-pay rule —
+    // the backup is the simulator's own recovery of an already-approved
+    // trip, not a second logical fetch. The draws are consumed here even
+    // when a speculation already slept the trip, so the site's latency
+    // stream advances in commit order either way.
+    const TripDraw draw = DrawHedgedTrip(site);
+    if (!covered[site]) SleepUs(draw.sleep_us);
+    const size_t trips = 1 + draw.extra_trips;
     remote_trips_.fetch_add(trips, std::memory_order_relaxed);
     st.remote_trips.fetch_add(trips, std::memory_order_relaxed);
     if (ctr_remote_trips_ != nullptr) ctr_remote_trips_->Add(trips);
     if (st.ctr_trips != nullptr) st.ctr_trips->Add(trips);
     for (const std::string& pred : batches[site]) {
       const Relation& rel = cache_source().Get(pred, 0);
-      if (ctr_cache_misses_ != nullptr) ctr_cache_misses_->Add(1);
       remote_tuples_.fetch_add(rel.size(), std::memory_order_relaxed);
       st.remote_tuples.fetch_add(rel.size(), std::memory_order_relaxed);
       if (ctr_remote_tuples_ != nullptr) ctr_remote_tuples_->Add(rel.size());
       st.cache.NoteFill(pred, rel.version());
     }
+    fill_timer.RecordTo(hist_fill_latency_);
     return Status::OK();
   };
   if (pool != nullptr && pool->thread_count() > 1 && work.size() > 1) {
@@ -409,86 +402,39 @@ void SiteDatabase::PrefetchRemoteBatched(const std::set<std::string>& preds,
   }
 }
 
-SiteDatabase::StagedFetch SiteDatabase::StageRemoteFetch(
-    const std::string& pred, const Database& snapshot) const {
-  StagedFetch staged;
-  staged.pred = pred;
-  staged.site = SiteOf(pred);
-  const Relation& rel = snapshot.Get(pred, 0);
-  staged.version = rel.version();
-  staged.count = rel.size();
-  // The round trip's wall-clock cost is paid here, on the speculation
+SiteDatabase::StagedTrips SiteDatabase::StageRemoteTrips(
+    const std::set<std::string>& preds, const Database& snapshot) const {
+  StagedTrips staged;
+  std::vector<char> paid(site_states_.size(), 0);
+  for (const std::string& pred : preds) {
+    if (IsLocal(pred)) continue;
+    const size_t site = SiteOf(pred);
+    const uint64_t version = snapshot.Get(pred, 0).version();
+    if (site_states_[site]->cache.Find(pred, version) ==
+        RemoteReadCache::Lookup::kHit) {
+      continue;
+    }
+    staged.versions.emplace(pred, version);
+    paid[site] = 1;
+  }
+  // The round trips' wall-clock cost is paid here, on the speculation
   // thread, where it overlaps other episodes' work; everything observable
-  // waits for CommitStagedFetch. Under a non-fixed latency model the
-  // speculation sleeps a draw-free hint (the distribution's fast mode):
-  // consuming a real draw here would let speculation-thread interleaving
-  // reorder the site's deterministic latency stream. The real draw is
-  // consumed at commit time, in commit order.
-  const SiteState& st = *site_states_[staged.site];
-  if (st.costs.latency_model == LatencyModel::kFixed) {
-    SimulateTripLatency(staged.site);
-  } else {
-    SleepUs(st.costs.latency_lo_us);
+  // waits for the commit-time PrefetchRemote. The per-site trips overlap
+  // each other too, so the slowest one is the wait. Under a non-fixed
+  // latency model the speculation sleeps a draw-free hint (the
+  // distribution's fast mode): consuming a real draw here would let
+  // speculation-thread interleaving reorder the site's deterministic
+  // latency stream. The real draw is consumed at commit, in commit order.
+  uint64_t wait_us = 0;
+  for (size_t s = 0; s < paid.size(); ++s) {
+    if (!paid[s]) continue;
+    const CostModel& cm = site_states_[s]->costs;
+    wait_us = std::max(wait_us, cm.latency_model == LatencyModel::kFixed
+                                    ? cm.trip_latency_us
+                                    : cm.latency_lo_us);
   }
+  SleepUs(wait_us);
   return staged;
-}
-
-bool SiteDatabase::CommitStagedFetch(const StagedFetch& staged) {
-  if (!cache_enabled_) return false;
-  ActiveReadGuard guard(&active_reads_);
-  SiteState& st = *site_states_[staged.site];
-  const uint64_t live_version = cache_source().Get(staged.pred, 0).version();
-  if (live_version != staged.version) {
-    // An intervening commit mutated the relation: the staged fetch
-    // observed contents the serial path would not fetch here. Discard
-    // without a trace; the caller's normal prefetch pays the (now
-    // differently-versioned) trip itself.
-    return false;
-  }
-  switch (st.cache.Find(staged.pred, live_version)) {
-    case RemoteReadCache::Lookup::kHit:
-      // Another episode's commit already filled the entry at this version;
-      // the serial path would skip the fetch, so the staged one vanishes.
-      return false;
-    case RemoteReadCache::Lookup::kMissStale:
-      if (ctr_cache_invalidations_ != nullptr) {
-        ctr_cache_invalidations_->Add(1);
-      }
-      [[fallthrough]];
-    case RemoteReadCache::Lookup::kMissCold:
-      break;
-  }
-  // From here this is ReadRemote's miss path minus the already-slept
-  // latency: miss counter, successful physical trip (the caller gates
-  // staging on no-injector and no-budget, so the trip cannot fail or be
-  // refused), tuples, cache fill. Equal versions imply equal contents, so
-  // staged.count is exactly the live relation's size.
-  CCPI_DCHECK(st.injector == nullptr && st.budget == nullptr);
-  if (st.costs.latency_model != LatencyModel::kFixed) {
-    // Consume the trip's latency draw here, in commit order, so the
-    // site's deterministic stream (and its EWMA/histogram) advances
-    // exactly as the serial prefetch path would. The sleep already
-    // happened at staging time, so the drawn value is discarded.
-    (void)DrawTripLatencyUs(staged.site);
-  }
-  if (ctr_cache_misses_ != nullptr) ctr_cache_misses_->Add(1);
-  obs::Span span("distsim.remote_read", "distsim");
-  if (span.active()) {
-    span.Attr("pred", staged.pred);
-    span.Attr("site", static_cast<int64_t>(staged.site));
-    span.Attr("tuples", static_cast<int64_t>(staged.count));
-  }
-  obs::Stopwatch fill_timer;
-  remote_trips_.fetch_add(1, std::memory_order_relaxed);
-  st.remote_trips.fetch_add(1, std::memory_order_relaxed);
-  if (ctr_remote_trips_ != nullptr) ctr_remote_trips_->Add(1);
-  if (st.ctr_trips != nullptr) st.ctr_trips->Add(1);
-  remote_tuples_.fetch_add(staged.count, std::memory_order_relaxed);
-  st.remote_tuples.fetch_add(staged.count, std::memory_order_relaxed);
-  if (ctr_remote_tuples_ != nullptr) ctr_remote_tuples_->Add(staged.count);
-  fill_timer.RecordTo(hist_fill_latency_);
-  st.cache.NoteFill(staged.pred, live_version);
-  return true;
 }
 
 size_t SiteDatabase::RecoverSiteCache(size_t site,

@@ -2,6 +2,7 @@
 #define CCPI_DISTSIM_SITE_DB_H_
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -274,61 +275,41 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
   /// not have evaluations in flight.
   void set_cache_db(const Database* db) { cache_db_ = db; }
 
-  /// Batched prefetch: physically fetches every cold or stale relation in
-  /// `preds` (local and already-valid entries are skipped silently) so a
-  /// following fan-out reads them as cache hits. No-op when the cache is
-  /// off or any fault injector is attached — under injection each logical
-  /// read must consume its own draw of the failure schedule in evaluation
-  /// order, which a batched pass would reorder.
-  void PrefetchRemote(const std::set<std::string>& preds);
-
-  /// Coalesced multi-site prefetch: groups `preds` by owning site, pays
-  /// ONE round trip per site that has at least one cold or stale relation
-  /// (instead of one per relation), and issues the per-site batches
-  /// concurrently on `pool` (sequentially when pool is null or single
-  /// threaded). Tuples are billed per relation as usual; the saved trips
-  /// are the point of the batch. Same gates as PrefetchRemote, and the
-  /// per-site trip is charged against that site's budget scope. The
-  /// manager uses this only for multi-site topologies, so single-site
-  /// accounting is untouched.
-  void PrefetchRemoteBatched(const std::set<std::string>& preds,
-                             ThreadPool* pool);
-
-  /// One speculative remote fetch, staged by a pipelined episode's
-  /// read-only phase (see docs/concurrency.md): the simulated round-trip
-  /// latency has already been *paid* (slept) at speculation time, but none
-  /// of its observable effects — counters, cache fill, metrics — have
-  /// happened yet. CommitStagedFetch applies them at the episode's commit
-  /// turn iff the fetch is still exactly what the serial path would do.
-  struct StagedFetch {
-    std::string pred;
-    size_t site = 0;
-    /// The relation's content version in the episode's snapshot: the
-    /// commit-time validity condition (equal version => equal contents, so
-    /// the staged fetch observed exactly what a commit-time fetch would).
-    uint64_t version = 0;
-    /// Tuples the fetch carried (the snapshot relation's size).
-    size_t count = 0;
+  /// Round trips a pipelined episode's speculation already slept (see
+  /// StageRemoteTrips): every relation the staged per-site trips carried,
+  /// with its content version in the episode's snapshot. A relation's
+  /// presence implies its owning site's trip was slept.
+  struct StagedTrips {
+    std::map<std::string, uint64_t> versions;
   };
 
-  /// Speculatively fetches remote `pred` as seen in `snapshot`: sleeps the
-  /// owning site's simulated trip latency and records what was observed.
+  /// Prefetch: groups the cold or stale relations of `preds` by owning
+  /// site (local and already-valid ones are skipped silently) and pays ONE
+  /// coalesced round trip per site that has any, so a following fan-out
+  /// reads them as cache hits. Tuples are billed per relation, the trip
+  /// is charged against the site's budget scope, and a hedge may race a
+  /// slow trip (set_hedge). The per-site batches run concurrently on
+  /// `pool` (sequentially when pool is null or single-threaded). No-op
+  /// when the cache is off or any fault injector is attached — under
+  /// injection each logical read must consume its own draw of the failure
+  /// schedule in evaluation order, which a batched pass would reorder.
+  ///
+  /// `slept` (may be null) names trips a speculation already slept. A
+  /// site whose whole batch was staged at the relations' live versions is
+  /// billed exactly as without `slept` — latency and hedge draws consumed
+  /// here, in commit order — and only the sleep is skipped.
+  void PrefetchRemote(const std::set<std::string>& preds, ThreadPool* pool,
+                      const StagedTrips* slept = nullptr);
+
+  /// Speculatively pays the prefetch trips of remote `preds` as seen in
+  /// `snapshot`: one trip per site owning a relation that is not current
+  /// in the cache at its snapshot version, the sites' trips overlapping
+  /// (one sleep of the slowest). Records each such relation's version.
   /// No counter, cache, budget, or injector interaction — safe to call
   /// from a speculation thread concurrently with commits. The caller gates
   /// on cache_enabled && !any_fault_injector (same as prefetch).
-  StagedFetch StageRemoteFetch(const std::string& pred,
+  StagedTrips StageRemoteTrips(const std::set<std::string>& preds,
                                const Database& snapshot) const;
-
-  /// Applies a staged fetch at commit time, iff the site's cache entry is
-  /// still cold/stale AND the relation's live version equals the staged
-  /// one — i.e. iff the serial prefetch path would perform this exact
-  /// fetch here. Then bills the trip and tuples and fills the cache
-  /// precisely as ReadRemote's miss path would (minus the already-paid
-  /// latency), so accounting is byte-identical to unpipelined execution.
-  /// Returns whether the fetch was committed; a false return means the
-  /// staged work is discarded without any observable trace (the caller's
-  /// normal prefetch covers the relation if it still needs fetching).
-  bool CommitStagedFetch(const StagedFetch& staged);
 
   /// Catch-up reconciliation for a site returning from outage: re-fetches
   /// every relation of `site` among `preds` whose cache entry went stale
@@ -437,11 +418,10 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
   /// fault injection, fill-latency timing. The pre-cache ReadRemote body.
   Status FetchRemote(size_t site, const std::string& pred, size_t count);
 
-  /// Blocks for the site's simulated per-trip latency. kFixed: sleeps
-  /// CostModel::trip_latency_us (no-op at the default of 0) and consumes
-  /// no randomness. Non-fixed models: consumes one latency draw, feeds
-  /// the EWMA/histogram, and sleeps the drawn value.
-  void SimulateTripLatency(size_t site) const;
+  /// The site's simulated per-trip latency, in microseconds. kFixed:
+  /// CostModel::trip_latency_us (0 by default), consuming no randomness.
+  /// Non-fixed models: one DrawTripLatencyUs.
+  uint64_t TripLatencyUs(size_t site) const;
 
   /// One deterministic latency draw for `site` (non-fixed models only):
   /// advances the site's draw counter, samples the configured
@@ -449,15 +429,21 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
   /// `distsim.site<k>.latency_us` histogram. Returns microseconds.
   uint64_t DrawTripLatencyUs(size_t site) const;
 
-  /// The batched-prefetch trip with hedging armed: reads the EWMA first,
-  /// draws the primary latency, and — when the primary overshoots
-  /// hedge_after_ x EWMA — draws a deterministic single backup (launched
-  /// at the threshold instant) and sleeps min(primary, threshold +
-  /// backup) instead of the full primary. Returns how many *extra*
-  /// physical trips the caller must bill (0 or 1) and bumps the hedge
-  /// counters. Falls back to SimulateTripLatency semantics when hedging
-  /// cannot apply (hedging off, fixed model, or no EWMA yet).
-  size_t SimulateHedgedTripLatency(size_t site) const;
+  /// The draws of one prefetch trip, not yet slept.
+  struct TripDraw {
+    uint64_t sleep_us = 0;
+    /// Extra physical trips the caller must bill: 1 iff a hedge was issued.
+    size_t extra_trips = 0;
+  };
+
+  /// The prefetch trip with hedging armed: reads the EWMA first, draws
+  /// the primary latency, and — when the primary overshoots hedge_after_
+  /// x EWMA — draws a deterministic single backup (launched at the
+  /// threshold instant) whose trip lasts min(primary, threshold + backup)
+  /// instead of the full primary; bumps the hedge counters. Falls back to
+  /// the plain TripLatencyUs when hedging cannot apply (hedging off, fixed
+  /// model, or no EWMA yet).
+  TripDraw DrawHedgedTrip(size_t site) const;
 
   std::set<std::string> local_preds_;
   Topology topology_;

@@ -130,9 +130,9 @@ struct ConstraintManager::Episode {
   /// Every predicate phase 1 read (always includes update.pred: the noop
   /// probe and tier 2 read it).
   std::set<std::string> read_preds;
-  /// Remote fetches staged for the tier-3 worklist (latency already
-  /// slept); committed or silently discarded at the commit turn.
-  std::vector<SiteDatabase::StagedFetch> staged;
+  /// Remote trips staged for the tier-3 worklist (latency already
+  /// slept); the commit-time prefetch skips the sleeps they cover.
+  SiteDatabase::StagedTrips staged;
 
   // ---- Retire handshake.
   std::mutex mu;
@@ -734,6 +734,22 @@ bool ConstraintManager::AllBreakersClosed() const {
   return true;
 }
 
+std::set<std::string> ConstraintManager::PrefetchPreds(
+    const std::vector<size_t>& worklist) const {
+  // A site whose breaker is not closed fast-fails its episodes without
+  // reading, so prefetching for it would pay trips the uncached path never
+  // pays.
+  std::set<std::string> preds;
+  for (size_t idx : worklist) {
+    for (const std::string& pred : constraints_[idx].remote_edb) {
+      if (breakers_[site_.SiteOf(pred)]->state() == CircuitState::kClosed) {
+        preds.insert(pred);
+      }
+    }
+  }
+  return preds;
+}
+
 bool ConstraintManager::AnySiteReachable() const {
   for (const std::unique_ptr<CircuitBreaker>& b : breakers_) {
     if (b->WouldAllow()) return true;
@@ -1024,54 +1040,20 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
       }
     } restore_site_budget{&site_, budget_armed_};
 
-    // Batched prefetch: fetch each distinct remote relation the worklist
-    // needs at most once, before any evaluation, so the per-constraint
-    // evaluations (parallel or not) read it as cache hits instead of each
-    // paying its own trip. Runs at every thread count — the cache's hit
-    // and trip counts must not depend on the fan-out width — but never
-    // under fault injection (each logical read must consume its own draw
-    // of the failure schedule in evaluation order) and never while the
-    // breaker is non-closed (a fast-failing episode performs no reads, so
-    // prefetching for it would pay trips the uncached path never pays).
+    // Prefetch: fetch each distinct remote relation the worklist needs at
+    // most once, coalesced into one round trip per site and the sites'
+    // batches issued concurrently, before any evaluation, so the
+    // per-constraint evaluations (parallel or not) read them as cache hits
+    // instead of each paying its own trip. Runs at every thread count —
+    // the cache's hit and trip counts must not depend on the fan-out
+    // width — but never under fault injection (each logical read must
+    // consume its own draw of the failure schedule in evaluation order).
+    // A valid speculation already slept the trips it staged; the prefetch
+    // bills them as usual and skips only the sleep of each site whose
+    // batch the staging covers.
     if (site_.remote_cache_enabled() && !site_.any_fault_injector()) {
-      if (site_.sites() == 1) {
-        if (breakers_[0]->state() == CircuitState::kClosed) {
-          std::set<std::string> episode_preds;
-          for (size_t idx : need_full) {
-            const std::set<std::string>& preds = constraints_[idx].remote_edb;
-            episode_preds.insert(preds.begin(), preds.end());
-          }
-          // A valid speculation already slept the round trips for (a
-          // subset of) these relations at speculation time; commit the
-          // staged fetches that are still exactly what the serial path
-          // would fetch here and let the normal prefetch cover whatever
-          // was not staged or was discarded (version moved, entry already
-          // filled by an intervening commit, breaker opened since).
-          if (use_spec) {
-            for (const SiteDatabase::StagedFetch& sf : spec->staged) {
-              if (site_.CommitStagedFetch(sf)) episode_preds.erase(sf.pred);
-            }
-          }
-          site_.PrefetchRemote(episode_preds);
-        }
-      } else {
-        // N sites: coalesce the worklist's remote relations into per-site
-        // batches and fetch the batches concurrently — one round trip per
-        // site — skipping any site whose breaker is not closed (its
-        // episodes fast-fail without reading, so prefetching for it would
-        // pay trips the uncached path never pays). Runs before the tier-3
-        // fan-out, so the pool is free to carry the batch fan-out here.
-        std::set<std::string> batched;
-        for (size_t idx : need_full) {
-          for (const std::string& pred : constraints_[idx].remote_edb) {
-            if (breakers_[site_.SiteOf(pred)]->state() ==
-                CircuitState::kClosed) {
-              batched.insert(pred);
-            }
-          }
-        }
-        site_.PrefetchRemoteBatched(batched, pool_.get());
-      }
+      site_.PrefetchRemote(PrefetchPreds(need_full), pool_.get(),
+                           use_spec ? &spec->staged : nullptr);
     }
 
     // Tier 3 may fan out only when remote verdicts cannot depend on
@@ -1621,27 +1603,23 @@ void ConstraintManager::SpeculatePhase1(Episode* e) {
   // Staged remote prefetch: pay the tier-3 worklist's simulated round
   // trips NOW, on this worker, where they overlap other episodes' stages —
   // the latency-hiding that makes the pipeline beat depth 1 in wall-clock.
-  // Only where the serial path would itself batch-prefetch (cache on, no
-  // injector, breaker closed; single-site — the multi-site batcher has its
-  // own coalescing) and never under budgets (staged commits bypass budget
-  // scopes; budget-armed managers do not pipeline at all). The updated
-  // relation itself is skipped: the commit-time tentative apply re-stamps
-  // its version, so a staged fetch of it could never commit.
-  if (all_ok && !violated && !e->noop && site_.sites() == 1 &&
-      site_.remote_cache_enabled() && !site_.any_fault_injector() &&
-      breakers_[0]->state() == CircuitState::kClosed) {
-    std::set<std::string> preds;
+  // Only where the serial path would itself prefetch (cache on, no
+  // injector, the relation's site breaker closed) and never under budgets
+  // (budget-armed managers do not pipeline at all). The updated relation
+  // itself is skipped: the commit-time tentative apply re-stamps its
+  // version, so a staged trip for it could never cover the commit batch.
+  if (all_ok && !violated && !e->noop && site_.remote_cache_enabled() &&
+      !site_.any_fault_injector()) {
+    std::vector<size_t> need_full;
     for (size_t i = 0; i < constraints_.size(); ++i) {
       if (!constraints_[i].subsumed && e->check_status[i].ok() &&
           e->reports[i].tier == Tier::kFullCheck) {
-        preds.insert(constraints_[i].remote_edb.begin(),
-                     constraints_[i].remote_edb.end());
+        need_full.push_back(i);
       }
     }
-    for (const std::string& pred : preds) {
-      if (pred == u.pred) continue;
-      e->staged.push_back(site_.StageRemoteFetch(pred, e->snapshot));
-    }
+    std::set<std::string> preds = PrefetchPreds(need_full);
+    preds.erase(u.pred);
+    e->staged = site_.StageRemoteTrips(preds, e->snapshot);
   }
 }
 

@@ -88,14 +88,14 @@ struct ParallelConfig {
 /// to measure the uncached baseline.
 struct RemoteCacheConfig {
   bool enabled = true;
-  /// Hedged batched reads (`ccpi_check --hedge-after=N`): when a batched
-  /// per-site prefetch's drawn latency exceeds `hedge_after` times that
+  /// Hedged prefetch reads (`ccpi_check --hedge-after=N`): when a
+  /// per-site prefetch trip's drawn latency exceeds `hedge_after` times that
   /// site's observed latency EWMA, the simulator issues one deterministic
   /// backup attempt and takes the faster of the two, billing exactly one
   /// extra remote trip per issued hedge (see docs/distsim.md "Hedged
   /// reads"). 0 (the default) disables hedging: no extra trips, no
-  /// `manager.hedge.*` counters, byte-identical behavior. Hedging only
-  /// ever engages on sites with a non-fixed latency model.
+  /// `manager.hedge.*` counters, byte-identical behavior. Hedging engages
+  /// at any site count, but only on sites with a non-fixed latency model.
   uint64_t hedge_after = 0;
 };
 
@@ -596,6 +596,11 @@ class ConstraintManager {
   /// has just seen SitesWouldAllow succeed).
   void ClaimSites(const std::set<size_t>& gsites);
   bool AllBreakersClosed() const;
+  /// The remote relations the constraints in `worklist` read, minus those
+  /// of sites whose breaker is not closed: the set a prefetch (or its
+  /// speculative staging) fetches.
+  std::set<std::string> PrefetchPreds(
+      const std::vector<size_t>& worklist) const;
   /// Whether any site's breaker would currently admit a request.
   bool AnySiteReachable() const;
   /// End-of-episode catch-up hook (multi-site only): detects sites whose

@@ -182,19 +182,20 @@ TEST(SiteDatabaseTest, PrefetchFetchesEachRelationAtMostOnce) {
   ASSERT_TRUE(site.db().Insert("dept", {V("cs")}).ok());
   ASSERT_TRUE(site.db().Insert("l", {V(1), V(2)}).ok());
 
-  site.PrefetchRemote({"r", "dept", "l"});
+  site.PrefetchRemote({"r", "dept", "l"}, nullptr);
   AccessStats stats = site.stats();
-  EXPECT_EQ(stats.remote_trips, 2u);   // r and dept; local l skipped
+  // r and dept share the one site's coalesced trip; local l skipped.
+  EXPECT_EQ(stats.remote_trips, 1u);
   EXPECT_EQ(stats.remote_tuples, 3u);  // whole relations fetched
   EXPECT_EQ(stats.local_tuples, 0u);   // prefetch never bills local reads
 
   // Already valid: a second prefetch is free, and the fan-out's own
   // reads are hits.
-  site.PrefetchRemote({"r", "dept"});
-  EXPECT_EQ(site.stats().remote_trips, 2u);
+  site.PrefetchRemote({"r", "dept"}, nullptr);
+  EXPECT_EQ(site.stats().remote_trips, 1u);
   ASSERT_TRUE(site.OnRead("r", 2).ok());
   ASSERT_TRUE(site.OnRead("dept", 1).ok());
-  EXPECT_EQ(site.stats().remote_trips, 2u);
+  EXPECT_EQ(site.stats().remote_trips, 1u);
   EXPECT_EQ(site.stats().cache_hits, 2u);
 }
 

@@ -201,7 +201,7 @@ TEST(FailureDomainTest, HedgeIdentityAndTripBillingAreExact) {
     for (int i = 0; i < 24; ++i) {
       std::string pred = "r" + std::to_string(i);
       EXPECT_TRUE(site.db().Insert(pred, {V(i)}).ok());
-      site.PrefetchRemoteBatched({pred}, &pool);
+      site.PrefetchRemote({pred}, &pool);
       ++logical_trips;
     }
     HedgeStats hedges = site.hedge_stats();
@@ -273,13 +273,10 @@ TEST(FailureDomainTest, LatencyShedRefusesBeforePayingTheTrip) {
 // log is byte-identical hedged or not; only the trip accounting and the
 // hedge counters move.
 TEST(FailureDomainTest, HedgingIsSemanticallyInvisibleOnTheLog) {
-  // Two sites: hedging lives in the batched multi-site prefetch, and the
-  // stock churn forces a fresh trip per episode so the EWMA has draws to
-  // overshoot.
-  const char* text =
-      "local reserved\n"
-      "sites 2\n"
-      "site 0 stock\n"
+  // One and two sites: every site count hedges its prefetch trips, and
+  // the stock churn forces a fresh trip per episode so the EWMA has draws
+  // to overshoot.
+  const char* stream =
       "constraint stock\n"
       "panic :- reserved(I,N) & not stock(I,N)\n"
       "fact stock(a, 1)\n"
@@ -296,29 +293,33 @@ TEST(FailureDomainTest, HedgingIsSemanticallyInvisibleOnTheLog) {
       "insert reserved(f, 1)\n"
       "insert stock(g, 1)\n"
       "insert reserved(g, 1)\n";
-  auto script = ParseScript(text);
-  ASSERT_TRUE(script.ok()) << script.status().ToString();
-  ScriptOptions& options = script->options;
-  SiteLatencyOverride skewed;
-  skewed.model = LatencyModel::kTwoPoint;
-  skewed.lo_us = 1;
-  skewed.hi_us = 50;
-  skewed.slow_share = 0.4;
-  options.topology.site_latency[0] = skewed;
+  for (const char* topology : {"", "sites 2\nsite 0 stock\n"}) {
+    SCOPED_TRACE(topology);
+    auto script =
+        ParseScript(std::string("local reserved\n") + topology + stream);
+    ASSERT_TRUE(script.ok()) << script.status().ToString();
+    ScriptOptions& options = script->options;
+    SiteLatencyOverride skewed;
+    skewed.model = LatencyModel::kTwoPoint;
+    skewed.lo_us = 1;
+    skewed.hi_us = 50;
+    skewed.slow_share = 0.4;
+    options.topology.site_latency[0] = skewed;
 
-  auto unhedged = RunScript(*script);
-  options.remote_cache.hedge_after = 1;
-  auto hedged = RunScript(*script);
-  ASSERT_TRUE(unhedged.ok()) << unhedged.status().ToString();
-  ASSERT_TRUE(hedged.ok()) << hedged.status().ToString();
+    auto unhedged = RunScript(*script);
+    options.remote_cache.hedge_after = 1;
+    auto hedged = RunScript(*script);
+    ASSERT_TRUE(unhedged.ok()) << unhedged.status().ToString();
+    ASSERT_TRUE(hedged.ok()) << hedged.status().ToString();
 
-  EXPECT_EQ(unhedged->log_text, hedged->log_text);
-  EXPECT_EQ(unhedged->violations, hedged->violations);
-  EXPECT_EQ(unhedged->updates_applied, hedged->updates_applied);
-  EXPECT_EQ(unhedged->hedges_issued, 0u);
-  EXPECT_GT(hedged->hedges_issued, 0u);
-  EXPECT_EQ(hedged->hedges_issued,
-            hedged->hedges_won + hedged->hedges_wasted);
+    EXPECT_EQ(unhedged->log_text, hedged->log_text);
+    EXPECT_EQ(unhedged->violations, hedged->violations);
+    EXPECT_EQ(unhedged->updates_applied, hedged->updates_applied);
+    EXPECT_EQ(unhedged->hedges_issued, 0u);
+    EXPECT_GT(hedged->hedges_issued, 0u);
+    EXPECT_EQ(hedged->hedges_issued,
+              hedged->hedges_won + hedged->hedges_wasted);
+  }
 }
 
 // Metric-catalog byte-identity: the latency histogram, hedge counters and

@@ -105,6 +105,41 @@ std::vector<Update> RandomWorkload(uint64_t seed, size_t n) {
   return out;
 }
 
+/// Drives `stream` through `mgr` — the serial ApplyUpdate loop at depth 1,
+/// ApplyUpdateAsync + Drain through the episode pipeline otherwise — and
+/// captures the observables every run shares.
+RunResult Drive(ConstraintManager* mgr, const std::vector<Update>& stream,
+                size_t depth) {
+  RunResult result;
+  if (depth > 1) {
+    for (const Update& u : stream) mgr->ApplyUpdateAsync(u);
+    for (auto& reports : mgr->Drain()) {
+      EXPECT_TRUE(reports.ok()) << reports.status().ToString();
+      if (reports.ok()) result.reports.push_back(*reports);
+    }
+    result.pipe_admitted =
+        mgr->metrics().GetCounter("manager.pipeline.admitted")->value();
+    result.pipe_committed =
+        mgr->metrics().GetCounter("manager.pipeline.committed")->value();
+    result.pipe_conflicts =
+        mgr->metrics().GetCounter("manager.pipeline.conflicts")->value();
+    result.pipe_unspeculated =
+        mgr->metrics().GetCounter("manager.pipeline.unspeculated")->value();
+  } else {
+    for (const Update& u : stream) {
+      auto reports = mgr->ApplyUpdate(u);
+      EXPECT_TRUE(reports.ok()) << reports.status().ToString();
+      if (reports.ok()) result.reports.push_back(*reports);
+    }
+  }
+  result.stats = mgr->stats();
+  result.deferred.assign(mgr->deferred_queue().begin(),
+                         mgr->deferred_queue().end());
+  result.breaker_state = mgr->breaker().state();
+  result.db_dump = mgr->site().db().ToString();
+  return result;
+}
+
 /// Replays the seeded workload through a fresh manager with `threads`
 /// checker lanes (and, optionally, a fresh same-seeded fault injector).
 /// `cache` toggles the remote-read snapshot cache, which must be
@@ -151,39 +186,11 @@ RunResult RunWorkload(uint64_t seed, size_t threads,
   EXPECT_TRUE(mgr.site().db().Insert("dept", {V("ee")}).ok());
   EXPECT_TRUE(mgr.site().db().Insert("r", {V(static_cast<int64_t>(20))}).ok());
 
-  RunResult result;
-  if (depth > 1) {
-    for (const Update& u : RandomWorkload(seed, 60)) mgr.ApplyUpdateAsync(u);
-    for (auto& reports : mgr.Drain()) {
-      EXPECT_TRUE(reports.ok()) << reports.status().ToString();
-      if (reports.ok()) result.reports.push_back(*reports);
-    }
-  } else {
-    for (const Update& u : RandomWorkload(seed, 60)) {
-      auto reports = mgr.ApplyUpdate(u);
-      EXPECT_TRUE(reports.ok()) << reports.status().ToString();
-      if (reports.ok()) result.reports.push_back(*reports);
-    }
-  }
-  result.stats = mgr.stats();
-  result.deferred.assign(mgr.deferred_queue().begin(),
-                         mgr.deferred_queue().end());
-  result.breaker_state = mgr.breaker().state();
-  result.db_dump = mgr.site().db().ToString();
+  RunResult result = Drive(&mgr, RandomWorkload(seed, 60), depth);
   if (injector.has_value()) result.injector_trips = injector->stats().trips;
   if (plan_cache) {
     result.plan_hits = mgr.metrics().GetCounter("plan.hits")->value();
     result.plan_compiles = mgr.metrics().GetCounter("plan.compiles")->value();
-  }
-  if (depth > 1) {
-    result.pipe_admitted =
-        mgr.metrics().GetCounter("manager.pipeline.admitted")->value();
-    result.pipe_committed =
-        mgr.metrics().GetCounter("manager.pipeline.committed")->value();
-    result.pipe_conflicts =
-        mgr.metrics().GetCounter("manager.pipeline.conflicts")->value();
-    result.pipe_unspeculated =
-        mgr.metrics().GetCounter("manager.pipeline.unspeculated")->value();
   }
   return result;
 }
@@ -570,19 +577,36 @@ TEST(ParallelEquivalenceTest, CancelledEpisodesShedIdenticallyAtAnyThreadCount) 
 // divergence in a per-site counter would mean the batched prefetch or the
 // per-site breaker accounting depends on lane scheduling.
 
+/// How RunTopologyWorkload prices its sites' trips.
+enum class SiteLatency {
+  kDefault,
+  /// Explicit kFixed/0us overrides plus a windowless failure domain.
+  kNeutral,
+  /// Site 0 on a heavy-tailed two-point model, so hedges can fire.
+  kSkewedSite0,
+};
+
 /// RunWorkload generalized to an N-site topology: remote r and dept are
 /// pinned to the first and last site, per-site injectors derive their
 /// seeds the same way the script layer does (site 0 verbatim, then the
 /// golden-ratio stride).
 RunResult RunTopologyWorkload(uint64_t seed, size_t threads, size_t sites,
                               const std::optional<FaultConfig>& faults,
-                              bool neutral_latency = false,
-                              uint64_t hedge_after = 0) {
+                              SiteLatency latency = SiteLatency::kDefault,
+                              uint64_t hedge_after = 0, size_t depth = 1) {
   TopologyConfig topology;
   topology.sites = sites;
   topology.placement["r"] = 0;
   topology.placement["dept"] = sites - 1;
-  if (neutral_latency) {
+  if (latency == SiteLatency::kSkewedSite0) {
+    SiteLatencyOverride skewed;
+    skewed.model = LatencyModel::kTwoPoint;
+    skewed.lo_us = 1;
+    skewed.hi_us = 50;
+    skewed.slow_share = 0.4;
+    topology.site_latency[0] = skewed;
+  }
+  if (latency == SiteLatency::kNeutral) {
     // A maximally-spelled-out-but-inert config: every site carries an
     // explicit kFixed/0us latency override (identical to the default
     // pricing) and all sites are grouped into one failure domain with no
@@ -600,7 +624,8 @@ RunResult RunTopologyWorkload(uint64_t seed, size_t threads, size_t sites,
   remote_cache.hedge_after = hedge_after;
   ConstraintManager mgr({"l", "emp"}, CostModel{}, ResilienceConfig{},
                         ParallelConfig{threads}, remote_cache,
-                        BudgetConfig{}, topology);
+                        BudgetConfig{}, topology, PlanCacheConfig{},
+                        PipelineConfig{depth});
   std::vector<std::unique_ptr<FaultInjector>> injectors;
   if (faults.has_value()) {
     for (size_t s = 0; s < sites; ++s) {
@@ -629,16 +654,7 @@ RunResult RunTopologyWorkload(uint64_t seed, size_t threads, size_t sites,
   EXPECT_TRUE(mgr.site().db().Insert("dept", {V("ee")}).ok());
   EXPECT_TRUE(mgr.site().db().Insert("r", {V(static_cast<int64_t>(20))}).ok());
 
-  RunResult result;
-  for (const Update& u : RandomWorkload(seed, 60)) {
-    auto reports = mgr.ApplyUpdate(u);
-    EXPECT_TRUE(reports.ok()) << reports.status().ToString();
-    if (reports.ok()) result.reports.push_back(*reports);
-  }
-  result.stats = mgr.stats();
-  result.deferred.assign(mgr.deferred_queue().begin(),
-                         mgr.deferred_queue().end());
-  result.breaker_state = mgr.breaker().state();
+  RunResult result = Drive(&mgr, RandomWorkload(seed, 60), depth);
   for (size_t s = 0; s < sites; ++s) {
     result.site_breaker_states.push_back(mgr.site_breaker(s).state());
     result.site_access.push_back(mgr.site().site_stats(s));
@@ -753,7 +769,7 @@ TEST(ParallelEquivalenceTest, NeutralLatencyConfigIsExactlyBaseline) {
              {std::optional<FaultConfig>{}, std::optional<FaultConfig>{faults}}) {
           RunResult plain = RunTopologyWorkload(seed, threads, sites, f);
           RunResult neutral = RunTopologyWorkload(
-              seed, threads, sites, f, /*neutral_latency=*/true,
+              seed, threads, sites, f, SiteLatency::kNeutral,
               /*hedge_after=*/3);
           ExpectSameReports(plain, neutral);
           ExpectSameStats(plain, neutral);
@@ -844,6 +860,39 @@ TEST(ParallelEquivalenceTest, PipelinedSpeculationActuallyCommits) {
   EXPECT_GT(piped.pipe_committed, 0u);
 }
 
+TEST(ParallelEquivalenceTest, MultiSitePipelinedDepthsMatchSerial) {
+  // Staging and hedging work per site batch at every site count, so the
+  // pipeline must stay invisible at N > 1 too — per-site slices and hedge
+  // counters included. With site 0 heavy-tailed, the latency and hedge
+  // draws are consumed at commit turns, in commit order, whether or not a
+  // speculation already slept the trip.
+  for (size_t sites : {size_t{2}, size_t{4}}) {
+    for (SiteLatency latency :
+         {SiteLatency::kNeutral, SiteLatency::kSkewedSite0}) {
+      const uint64_t hedge_after =
+          latency == SiteLatency::kSkewedSite0 ? 2 : 0;
+      RunResult serial = RunTopologyWorkload(11, 1, sites, std::nullopt,
+                                             latency, hedge_after);
+      if (latency == SiteLatency::kSkewedSite0) {
+        EXPECT_GT(serial.stats.hedges_issued, 0u) << "sites " << sites;
+      }
+      for (size_t depth : {size_t{2}, size_t{8}}) {
+        for (size_t threads : {size_t{1}, size_t{4}}) {
+          RunResult piped = RunTopologyWorkload(
+              11, threads, sites, std::nullopt, latency, hedge_after, depth);
+          ExpectEquivalent(serial, piped);
+          ExpectSameSiteState(serial, piped);
+          EXPECT_EQ(serial.stats.hedges_issued, piped.stats.hedges_issued);
+          EXPECT_EQ(serial.stats.hedges_won, piped.stats.hedges_won);
+          EXPECT_EQ(serial.stats.hedges_wasted, piped.stats.hedges_wasted);
+          ExpectPipelineAccounting(piped, serial.reports.size());
+          EXPECT_GT(piped.pipe_committed, 0u);
+        }
+      }
+    }
+  }
+}
+
 /// A pinned worst case for speculation: every update writes the one local
 /// predicate every constraint reads, so each in-flight speculation is
 /// invalidated by its predecessor's commit. The conflict streak must trip
@@ -865,34 +914,7 @@ RunResult RunConflictWorkload(size_t depth) {
     stream.push_back(Update::Insert("l", {V(i), V(i + 1)}));
     if (i % 3 == 2) stream.push_back(Update::Delete("l", {V(i), V(i + 1)}));
   }
-  RunResult result;
-  if (depth > 1) {
-    for (const Update& u : stream) mgr.ApplyUpdateAsync(u);
-    for (auto& reports : mgr.Drain()) {
-      EXPECT_TRUE(reports.ok()) << reports.status().ToString();
-      if (reports.ok()) result.reports.push_back(*reports);
-    }
-    result.pipe_admitted =
-        mgr.metrics().GetCounter("manager.pipeline.admitted")->value();
-    result.pipe_committed =
-        mgr.metrics().GetCounter("manager.pipeline.committed")->value();
-    result.pipe_conflicts =
-        mgr.metrics().GetCounter("manager.pipeline.conflicts")->value();
-    result.pipe_unspeculated =
-        mgr.metrics().GetCounter("manager.pipeline.unspeculated")->value();
-  } else {
-    for (const Update& u : stream) {
-      auto reports = mgr.ApplyUpdate(u);
-      EXPECT_TRUE(reports.ok()) << reports.status().ToString();
-      if (reports.ok()) result.reports.push_back(*reports);
-    }
-  }
-  result.stats = mgr.stats();
-  result.deferred.assign(mgr.deferred_queue().begin(),
-                         mgr.deferred_queue().end());
-  result.breaker_state = mgr.breaker().state();
-  result.db_dump = mgr.site().db().ToString();
-  return result;
+  return Drive(&mgr, stream, depth);
 }
 
 TEST(ParallelEquivalenceTest, HighConflictStreamStaysEquivalent) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <set>
 #include <string>
@@ -11,6 +12,7 @@
 #include "distsim/fault_injector.h"
 #include "distsim/site_db.h"
 #include "distsim/topology.h"
+#include "obs/metrics.h"
 #include "util/thread_pool.h"
 
 namespace ccpi {
@@ -115,7 +117,7 @@ TEST(SiteTopologyTest, BatchedPrefetchPaysOneTripPerSite) {
   ASSERT_TRUE(site.db().Insert("b", {V(2)}).ok());
   ASSERT_TRUE(site.db().Insert("c", {V(3)}).ok());
   ThreadPool pool(4);
-  site.PrefetchRemoteBatched({"a", "b", "c"}, &pool);
+  site.PrefetchRemote({"a", "b", "c"}, &pool);
   // Three relations, two sites: site 0's two relations coalesce into one
   // round trip; site 1 pays one.
   EXPECT_EQ(site.site_stats(0).remote_trips, 1u);
@@ -128,7 +130,7 @@ TEST(SiteTopologyTest, BatchedPrefetchPaysOneTripPerSite) {
   EXPECT_EQ(site.stats().remote_trips, 2u);
   EXPECT_EQ(site.stats().cache_hits, 3u);
   // A warm batch refetches nothing.
-  site.PrefetchRemoteBatched({"a", "b", "c"}, &pool);
+  site.PrefetchRemote({"a", "b", "c"}, &pool);
   EXPECT_EQ(site.stats().remote_trips, 2u);
 }
 
@@ -145,7 +147,7 @@ TEST(SiteTopologyTest, BatchedPrefetchSequentialAndParallelAgree) {
       preds.insert(pred);
     }
     ThreadPool pool(threads);
-    site.PrefetchRemoteBatched(preds, &pool);
+    site.PrefetchRemote(preds, &pool);
     size_t populated_sites = 0;
     for (size_t s = 0; s < site.sites(); ++s) {
       populated_sites += site.site_stats(s).remote_trips > 0 ? 1 : 0;
@@ -154,6 +156,106 @@ TEST(SiteTopologyTest, BatchedPrefetchSequentialAndParallelAgree) {
     EXPECT_EQ(site.stats().remote_trips, populated_sites);
     EXPECT_EQ(site.stats().remote_tuples, 9u);
   }
+}
+
+// A stale entry is a lookup like any other: the prefetch counts its
+// invalidation (and miss) and times each physical fill, as docs/
+// remote_cache.md defines both for every read path.
+TEST(SiteTopologyTest, PrefetchCountsInvalidationsAndTimesFills) {
+  TopologyConfig config;
+  config.sites = 2;
+  config.placement["a"] = 0;
+  config.placement["b"] = 1;
+  SiteDatabase site({"l"}, config);
+  obs::MetricsRegistry metrics;
+  site.set_metrics(&metrics);
+  site.EnableRemoteCache(true);
+  ASSERT_TRUE(site.db().Insert("a", {V(1)}).ok());
+  ASSERT_TRUE(site.db().Insert("b", {V(2)}).ok());
+  obs::Counter* invalidations =
+      metrics.GetCounter("distsim.cache_invalidations");
+  obs::Counter* misses = metrics.GetCounter("distsim.cache_misses");
+  obs::Histogram* fills = metrics.GetHistogram("distsim.cache_fill_latency_ns");
+  obs::SetTimingEnabled(true);
+  ThreadPool pool(2);
+  site.PrefetchRemote({"a", "b"}, &pool);  // both cold: no invalidation
+  EXPECT_EQ(invalidations->value(), 0u);
+  EXPECT_EQ(misses->value(), 2u);
+  EXPECT_EQ(fills->count(), 2u);  // one physical trip per site
+
+  // Bump a's version: its entry is stale now, b's is still current.
+  ASSERT_TRUE(site.db().Insert("a", {V(3)}).ok());
+  site.PrefetchRemote({"a", "b"}, &pool);
+  obs::SetTimingEnabled(false);
+  EXPECT_EQ(invalidations->value(), 1u);
+  EXPECT_EQ(misses->value(), 3u);
+  EXPECT_EQ(fills->count(), 3u);
+  EXPECT_EQ(site.stats().remote_trips, 3u);
+}
+
+// Staged trips change only the wall clock: the commit-time prefetch bills
+// exactly what an unstaged one bills, skips the sleep of every site whose
+// whole batch was staged at its live version, and sleeps in full for a
+// site whose relation moved after staging.
+TEST(SiteTopologyTest, StagedTripsSkipOnlyTheCoveredSleep) {
+  constexpr uint64_t kTripUs = 50000;
+  auto make_site = [](SiteDatabase* site) {
+    CostModel slow;
+    slow.trip_latency_us = kTripUs;
+    for (size_t s = 0; s < site->sites(); ++s) {
+      site->set_site_cost_model(s, slow);
+    }
+    site->EnableRemoteCache(true);
+    ASSERT_TRUE(site->db().Insert("a", {V(1)}).ok());
+    ASSERT_TRUE(site->db().Insert("b", {V(2)}).ok());
+    ASSERT_TRUE(site->db().Insert("c", {V(3)}).ok());
+  };
+  auto elapsed_us = [](auto&& fn) {
+    auto start = std::chrono::steady_clock::now();
+    fn();
+    return std::chrono::duration_cast<std::chrono::microseconds>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  TopologyConfig config;
+  config.sites = 2;
+  config.placement["a"] = 0;
+  config.placement["b"] = 0;
+  config.placement["c"] = 1;
+  const std::set<std::string> preds = {"a", "b", "c", "l"};
+
+  SiteDatabase plain({"l"}, config);
+  make_site(&plain);
+  plain.PrefetchRemote(preds, nullptr);
+
+  SiteDatabase staged({"l"}, config);
+  make_site(&staged);
+  SiteDatabase::StagedTrips slept;
+  // Both sites' trips overlap: staging waits for one trip, not two.
+  EXPECT_GE(elapsed_us([&] { slept = staged.StageRemoteTrips(preds,
+                                                            staged.db()); }),
+            static_cast<int64_t>(kTripUs));
+  EXPECT_EQ(slept.versions.size(), 3u);  // local l is never staged
+  EXPECT_LT(elapsed_us([&] { staged.PrefetchRemote(preds, nullptr, &slept); }),
+            static_cast<int64_t>(kTripUs));
+  for (size_t s = 0; s < 2; ++s) {
+    EXPECT_EQ(staged.site_stats(s).remote_trips,
+              plain.site_stats(s).remote_trips);
+    EXPECT_EQ(staged.site_stats(s).remote_tuples,
+              plain.site_stats(s).remote_tuples);
+  }
+  // Warm entries are not staged at all.
+  EXPECT_TRUE(staged.StageRemoteTrips(preds, staged.db()).versions.empty());
+
+  // b and c are staged stale, then c moves again: site 0's batch is still
+  // covered, site 1's is not and pays its sleep in full.
+  ASSERT_TRUE(staged.db().Insert("b", {V(4)}).ok());
+  ASSERT_TRUE(staged.db().Insert("c", {V(5)}).ok());
+  slept = staged.StageRemoteTrips(preds, staged.db());
+  ASSERT_TRUE(staged.db().Insert("c", {V(6)}).ok());
+  EXPECT_GE(elapsed_us([&] { staged.PrefetchRemote(preds, nullptr, &slept); }),
+            static_cast<int64_t>(kTripUs));
+  EXPECT_EQ(staged.stats().remote_trips, 4u);
 }
 
 TEST(SiteTopologyTest, RecoverSiteCacheRevalidatesOnlyPoisonedEntries) {
