@@ -1,6 +1,7 @@
 #include "core/icq_compiler.h"
 
 #include <map>
+#include <optional>
 
 #include "eval/engine.h"
 #include "util/check.h"
@@ -262,6 +263,23 @@ void EmitOkRules(size_t branch_index, const Tuple& key,
   }
 }
 
+/// The local-atom column of the first key variable, when every branch
+/// shares one local atom: then a local tuple can share the inserted
+/// tuple's key only if it agrees with it on that column. nullopt when
+/// there is no key or the branches' local atoms differ.
+std::optional<size_t> KeyProbeColumn(const IcqCompilation& comp) {
+  const IcqBranch& first = comp.branches[0];
+  if (first.key_vars.empty()) return std::nullopt;
+  for (const IcqBranch& b : comp.branches) {
+    if (!(b.local == first.local)) return std::nullopt;
+  }
+  for (size_t col = 0; col < first.local.args.size(); ++col) {
+    const Term& arg = first.local.args[col];
+    if (arg.is_var() && arg.var() == first.key_vars[0]) return col;
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 Result<IcqCompilation> CompileIcq(const Rule& rule,
@@ -337,16 +355,27 @@ Result<Outcome> IcqDirectTestOnInsert(const IcqCompilation& comp,
     return Outcome::kHolds;
   }
 
-  // Forbidden intervals of every local tuple across all branches, keyed by
-  // the join values.
+  // Forbidden intervals of the local tuples across all branches, keyed by
+  // the join values. Only t's key is read below, so when a key column
+  // exists only the rows agreeing with t on it are reduced, taken from its
+  // index in row order. (If t fails the shared local atom, no branch reads
+  // the map at all.)
   std::map<Tuple, IntervalSet> by_key;
-  for (const Tuple& s : local_relation.rows()) {
+  auto reduce = [&](const Tuple& s) {
     for (const IcqBranch& b : comp.branches) {
       std::optional<Interval> interval = ForbiddenInterval(b, s);
       if (interval.has_value()) {
         by_key[KeyOf(b, s)].Add(*interval);
       }
     }
+  };
+  std::optional<size_t> key_col = KeyProbeColumn(comp);
+  if (key_col.has_value() && local_relation.arity() == comp.local_arity) {
+    for (size_t row : local_relation.Probe(*key_col, t[*key_col])) {
+      reduce(local_relation.rows()[row]);
+    }
+  } else {
+    for (const Tuple& s : local_relation.rows()) reduce(s);
   }
   for (const IcqBranch& b : comp.branches) {
     std::optional<Interval> target = ForbiddenInterval(b, t);

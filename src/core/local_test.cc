@@ -48,7 +48,8 @@ Result<LocalTestResult> CompleteLocalTestOnInsert(
   // snapshot: holding the segment pins an immutable image of the rows (in
   // insertion order, so the covering UCQ is disjunct-for-disjunct the same
   // as the row walk), decoupling the walk from any later mutation of the
-  // live relation.
+  // live relation — a relation clones a segment someone holds before it
+  // updates it.
   std::shared_ptr<const ColumnarSegment> seg =
       local_relation.columnar_segment();
   if (seg != nullptr) {

@@ -247,11 +247,13 @@ class RuleEval {
     // rows by index so growth during the scan is harmless.
     //
     // A columnar segment is the exception that skips all of that: only
-    // frozen relations carry one (FreezeIndexes builds it, any mutation
-    // drops it), and only EDB relations are frozen — the IDB relations a
-    // recursive rule grows never have a segment. Holding the segment
-    // pins an immutable snapshot, so postings bind by reference and rows
-    // enumerate without a single per-row Tuple copy.
+    // frozen relations hand one out (FreezeIndexes publishes it, any
+    // mutation un-publishes it until the next freeze, even though the
+    // relation keeps it current), and only EDB relations are frozen — the
+    // IDB relations a recursive rule grows never have a segment. Holding
+    // the segment pins an immutable snapshot (the relation would clone a
+    // held segment before updating it), so postings bind by reference and
+    // rows enumerate without a single per-row Tuple copy.
     std::shared_ptr<const ColumnarSegment> seg = rel->columnar_segment();
     if (probe_col < atom.args.size()) {
       if (seg != nullptr) {

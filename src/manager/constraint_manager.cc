@@ -502,9 +502,9 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
     // Memoize both verdicts — holds and falls-through — but never an
     // error path (kUnsupported falls through cold every time).
     if (plan_sig_safe_) {
-      plans_.StoreTier1(plan_key, PlanCache::Tier1Decision{tier1_holds});
-      ctr_plan_compiles_->Add(1);
-      compile_sw.RecordTo(hist_plan_compile_);
+      CountPlanStore(
+          plans_.StoreTier1(plan_key, PlanCache::Tier1Decision{tier1_holds}),
+          compile_sw);
     }
   }
   if (tier1_holds) {
@@ -579,11 +579,10 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
           Result<RaPlanTemplate> built =
               CompileRaPlan(t2->rule, u.pred, u.tuple);
           if (built.ok()) {
-            tpl = plans_.StoreTemplate(
-                plan_key,
-                std::make_shared<const RaPlanTemplate>(std::move(*built)));
-            ctr_plan_compiles_->Add(1);
-            compile_sw.RecordTo(hist_plan_compile_);
+            auto ours =
+                std::make_shared<const RaPlanTemplate>(std::move(*built));
+            tpl = plans_.StoreTemplate(plan_key, ours);
+            CountPlanStore(tpl == ours, compile_sw);
           }
           // A failed compile falls through undecided and is not cached,
           // so error behavior stays per-update.
@@ -704,9 +703,24 @@ Result<Outcome> ConstraintManager::EvalPlannedRa(const RaPlanTemplate& tpl,
   CCPI_ASSIGN_OR_RETURN(bool nonempty,
                         RaNonempty(*bound, *ctx.db, &recorder, &metrics_));
   Outcome outcome = nonempty ? Outcome::kHolds : Outcome::kUnknown;
-  plans_.StoreResult(result_key,
-                     PlanCache::BoundResult{outcome, std::move(recorder.reads)});
+  // A lane that lost a concurrent store race counts the hit it would have
+  // had serially (see CountPlanStore).
+  if (!plans_.StoreResult(
+          result_key,
+          PlanCache::BoundResult{outcome, std::move(recorder.reads)})) {
+    ctr_plan_hits_->Add(1);
+  }
   return outcome;
+}
+
+void ConstraintManager::CountPlanStore(bool won,
+                                       const obs::Stopwatch& compile_sw) {
+  if (won) {
+    ctr_plan_compiles_->Add(1);
+    compile_sw.RecordTo(hist_plan_compile_);
+  } else {
+    ctr_plan_hits_->Add(1);
+  }
 }
 
 bool ConstraintManager::SitesWouldAllow(
@@ -804,11 +818,9 @@ Result<bool> ConstraintManager::EvaluateRemote(const Program& program,
           obs::Stopwatch compile_sw;
           CCPI_ASSIGN_OR_RETURN(CompiledProgram built,
                                 CompileProgram(program));
-          plan = plans_.StoreProgram(
-              plan_key,
-              std::make_shared<const CompiledProgram>(std::move(built)));
-          ctr_plan_compiles_->Add(1);
-          compile_sw.RecordTo(hist_plan_compile_);
+          auto ours = std::make_shared<const CompiledProgram>(std::move(built));
+          plan = plans_.StoreProgram(plan_key, ours);
+          CountPlanStore(plan == ours, compile_sw);
         } else {
           ctr_plan_hits_->Add(1);
         }

@@ -589,6 +589,13 @@ class ConstraintManager {
   /// pipeline is empty (the log exists only to validate speculation).
   void LogCommitWrite(const std::string& pred);
 
+  /// Counts one plan-cache store of a compiled entry: a compile (timed by
+  /// `compile_sw`) when `won`, i.e. the caller's entry was inserted, else
+  /// a hit — a lane that lost a concurrent store race adopts the winner's
+  /// entry, as it would have found it serially, so plan.compiles and
+  /// plan.hits do not depend on how pipelined speculations interleave.
+  void CountPlanStore(bool won, const obs::Stopwatch& compile_sw);
+
   /// Whether every breaker in `gsites` would currently admit a request
   /// (pure gate: claims nothing, transitions nothing).
   bool SitesWouldAllow(const std::set<size_t>& gsites) const;

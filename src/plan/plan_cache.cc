@@ -12,10 +12,10 @@ std::optional<PlanCache::Tier1Decision> PlanCache::FindTier1(
   return it->second;
 }
 
-void PlanCache::StoreTier1(const std::string& key, Tier1Decision decision) {
-  if (!store_) return;
+bool PlanCache::StoreTier1(const std::string& key, Tier1Decision decision) {
+  if (!store_) return true;
   std::unique_lock<std::shared_mutex> lock(mu_);
-  tier1_.emplace(key, decision);  // first insert wins
+  return tier1_.emplace(key, decision).second;  // first insert wins
 }
 
 std::optional<std::shared_ptr<const PlanCache::Tier2Artifacts>>
@@ -55,10 +55,10 @@ std::optional<PlanCache::BoundResult> PlanCache::FindResult(
   return it->second;
 }
 
-void PlanCache::StoreResult(const std::string& key, BoundResult result) {
-  if (!store_) return;
+bool PlanCache::StoreResult(const std::string& key, BoundResult result) {
+  if (!store_) return true;
   std::unique_lock<std::shared_mutex> lock(mu_);
-  results_.emplace(key, std::move(result));
+  return results_.emplace(key, std::move(result)).second;
 }
 
 std::shared_ptr<const CompiledProgram> PlanCache::FindProgram(

@@ -72,7 +72,10 @@ class PlanCache {
   };
 
   std::optional<Tier1Decision> FindTier1(const std::string& key) const;
-  void StoreTier1(const std::string& key, Tier1Decision decision);
+  /// Returns false when a concurrent first inserter's entry was already
+  /// there and `decision` was dropped; true otherwise (a never-store cache
+  /// always returns true: the caller's entry is the one in effect).
+  bool StoreTier1(const std::string& key, Tier1Decision decision);
 
   /// nullopt on a miss; a stored null means tier 2 does not apply.
   std::optional<std::shared_ptr<const Tier2Artifacts>> FindTier2(
@@ -88,7 +91,8 @@ class PlanCache {
       const std::string& key, std::shared_ptr<const RaPlanTemplate> tpl);
 
   std::optional<BoundResult> FindResult(const std::string& key) const;
-  void StoreResult(const std::string& key, BoundResult result);
+  /// Returns whether `result` was inserted, as StoreTier1.
+  bool StoreResult(const std::string& key, BoundResult result);
 
   std::shared_ptr<const CompiledProgram> FindProgram(
       const std::string& key) const;

@@ -43,40 +43,108 @@ struct CodePred {
 
 }  // namespace
 
-std::shared_ptr<const ColumnarSegment> ColumnarSegment::Build(
+std::shared_ptr<ColumnarSegment> ColumnarSegment::Build(
     const std::vector<Tuple>& rows, size_t arity) {
   CCPI_CHECK(rows.size() < 0xFFFFFFFFull);
   auto seg = std::shared_ptr<ColumnarSegment>(new ColumnarSegment());
   seg->size_ = rows.size();
-  seg->columns_.resize(arity);
+  seg->columns_.reserve(arity);
   for (size_t col = 0; col < arity; ++col) {
-    Column& c = seg->columns_[col];
-    bool all_int = true;
-    for (const Tuple& t : rows) {
-      if (!t[col].is_int()) {
-        all_int = false;
-        break;
-      }
-    }
-    if (all_int) {
-      c.kind = ColumnKind::kInt64;
-      c.ints.reserve(rows.size());
-      for (const Tuple& t : rows) c.ints.push_back(t[col].AsInt());
-      continue;
-    }
-    c.kind = ColumnKind::kDict;
-    std::unordered_set<Value, ValueHash> distinct;
-    for (const Tuple& t : rows) distinct.insert(t[col]);
-    c.dict.assign(distinct.begin(), distinct.end());
-    std::sort(c.dict.begin(), c.dict.end());
-    c.encode.reserve(c.dict.size());
-    for (uint32_t code = 0; code < c.dict.size(); ++code) {
-      c.encode.emplace(c.dict[code], code);
-    }
-    c.codes.reserve(rows.size());
-    for (const Tuple& t : rows) c.codes.push_back(c.encode.at(t[col]));
+    seg->columns_.push_back(BuildColumn(rows, col));
   }
   return seg;
+}
+
+ColumnarSegment::Column ColumnarSegment::BuildColumn(
+    const std::vector<Tuple>& rows, size_t col) {
+  Column c;
+  bool all_int = true;
+  for (const Tuple& t : rows) {
+    if (!t[col].is_int()) {
+      all_int = false;
+      break;
+    }
+  }
+  if (all_int) {
+    c.kind = ColumnKind::kInt64;
+    c.ints.reserve(rows.size());
+    for (const Tuple& t : rows) c.ints.push_back(t[col].AsInt());
+    return c;
+  }
+  c.kind = ColumnKind::kDict;
+  std::unordered_set<Value, ValueHash> distinct;
+  for (const Tuple& t : rows) distinct.insert(t[col]);
+  c.dict.assign(distinct.begin(), distinct.end());
+  std::sort(c.dict.begin(), c.dict.end());
+  c.encode.reserve(c.dict.size());
+  for (uint32_t code = 0; code < c.dict.size(); ++code) {
+    c.encode.emplace(c.dict[code], code);
+  }
+  c.codes.reserve(rows.size());
+  for (const Tuple& t : rows) c.codes.push_back(c.encode.at(t[col]));
+  return c;
+}
+
+void ColumnarSegment::AppendRow(const std::vector<Tuple>& rows) {
+  CCPI_CHECK(rows.size() == size_ + 1 && rows.size() < 0xFFFFFFFFull);
+  const Tuple& t = rows.back();
+  for (size_t col = 0; col < columns_.size(); ++col) {
+    Column& c = columns_[col];
+    const Value& v = t[col];
+    if (c.kind == ColumnKind::kInt64) {
+      if (v.is_int()) {
+        c.ints.push_back(v.AsInt());
+      } else {
+        c = BuildColumn(rows, col);
+      }
+      continue;
+    }
+    auto hit = c.encode.find(v);
+    if (hit != c.encode.end()) {
+      c.codes.push_back(hit->second);
+      continue;
+    }
+    // A new value takes its sorted place so code order stays value order.
+    uint32_t code = static_cast<uint32_t>(
+        std::lower_bound(c.dict.begin(), c.dict.end(), v) - c.dict.begin());
+    for (uint32_t& x : c.codes) x += x >= code ? 1 : 0;
+    c.dict.insert(c.dict.begin() + code, v);
+    for (uint32_t k = code + 1; k < c.dict.size(); ++k) {
+      c.encode[c.dict[k]] = k;
+    }
+    c.encode.emplace(v, code);
+    c.codes.push_back(code);
+  }
+  ++size_;
+}
+
+void ColumnarSegment::EraseRow(size_t row) {
+  CCPI_CHECK(row < size_);
+  for (Column& c : columns_) {
+    if (c.kind == ColumnKind::kInt64) {
+      c.ints.erase(c.ints.begin() + static_cast<ptrdiff_t>(row));
+      continue;
+    }
+    uint32_t code = c.codes[row];
+    c.codes.erase(c.codes.begin() + static_cast<ptrdiff_t>(row));
+    if (std::find(c.codes.begin(), c.codes.end(), code) != c.codes.end()) {
+      continue;
+    }
+    // The value is gone from the column: drop it from the dictionary.
+    c.encode.erase(c.dict[code]);
+    c.dict.erase(c.dict.begin() + code);
+    for (uint32_t& x : c.codes) x -= x > code ? 1 : 0;
+    for (uint32_t k = code; k < c.dict.size(); ++k) c.encode[c.dict[k]] = k;
+    // Ints sort below symbols: no symbol left iff the largest value is an
+    // int (or nothing is left), and a fresh Build types that column int.
+    if (c.dict.empty() || c.dict.back().is_int()) {
+      Column ints;
+      ints.ints.reserve(c.codes.size());
+      for (uint32_t x : c.codes) ints.ints.push_back(c.dict[x].AsInt());
+      c = std::move(ints);
+    }
+  }
+  --size_;
 }
 
 Value ColumnarSegment::ValueAt(size_t row, size_t col) const {

@@ -22,9 +22,11 @@ using PositionList = std::vector<uint32_t>;
 /// cannot include it; ra_eval maps between the two with a trivial switch).
 enum class ScanOp { kLt, kLe, kGt, kGe, kEq, kNe };
 
-/// An immutable columnar image of one relation, built when the relation is
-/// frozen for a read phase (Relation::FreezeIndexes) and dropped by the
-/// next mutation.
+/// A columnar image of one relation, built by the relation's first freeze
+/// (Relation::FreezeIndexes), kept current by its owning Relation through
+/// single-tuple updates, and published to readers on every freeze. To a
+/// reader a segment is immutable: the owner mutates only a segment nobody
+/// else holds, and clones a held one first (copy-on-write).
 ///
 /// Layout (hyrise-style typed segments): each column is either
 ///   - kInt64:  the raw int64 payload, one contiguous array — scans are
@@ -47,7 +49,7 @@ class ColumnarSegment {
 
   /// Builds the columnar image of `rows` (all of arity `arity`).
   /// Requires rows.size() < 2^32.
-  static std::shared_ptr<const ColumnarSegment> Build(
+  static std::shared_ptr<ColumnarSegment> Build(
       const std::vector<Tuple>& rows, size_t arity);
 
   size_t size() const { return size_; }
@@ -98,6 +100,24 @@ class ColumnarSegment {
   };
 
   ColumnarSegment() = default;
+
+  /// The column `col` of `rows`, typed and encoded as Build does it.
+  static Column BuildColumn(const std::vector<Tuple>& rows, size_t col);
+
+  // Maintenance, for the owning Relation only. Each leaves the segment
+  // equal, column kinds and dictionaries included, to a fresh Build over
+  // the updated rows, so every kernel result is unchanged by how the
+  // segment was reached.
+  friend class Relation;
+  /// Appends rows.back(), the row just added to `rows` (the segment holds
+  /// the rows before it). An int column that receives a symbol is re-typed
+  /// from `rows`; a new dictionary value takes its sorted place and the
+  /// codes above it shift up by one.
+  void AppendRow(const std::vector<Tuple>& rows);
+  /// Removes the row at `row`; later rows shift down by one. A dictionary
+  /// value no longer used is dropped (codes above it shift down), and a
+  /// dictionary column left without symbols becomes an int column again.
+  void EraseRow(size_t row);
 
   template <typename Keep>
   void ScanWhere(size_t n, Keep keep, PositionList* out) const;

@@ -52,7 +52,8 @@ Relation::Relation(Relation&& other) noexcept
       rows_(std::move(other.rows_)),
       set_(std::move(other.set_)),
       indexes_(std::move(other.indexes_)),
-      segment_(std::move(other.segment_)) {}
+      segment_(std::move(other.segment_)),
+      segment_published_(other.segment_published_) {}
 
 Relation& Relation::operator=(Relation&& other) noexcept {
   if (this == &other) return *this;
@@ -62,6 +63,7 @@ Relation& Relation::operator=(Relation&& other) noexcept {
   set_ = std::move(other.set_);
   indexes_ = std::move(other.indexes_);
   segment_ = std::move(other.segment_);
+  segment_published_ = other.segment_published_;
   return *this;
 }
 
@@ -72,18 +74,66 @@ bool Relation::Insert(Tuple t) {
   if (!inserted) return false;
   rows_.push_back(std::move(t));
   version_ = NextVersion();
-  InvalidateIndexes();
+  std::unique_lock<std::shared_mutex> lock(index_mu_);
+  const Tuple& row = rows_.back();
+  for (auto& [col, index] : indexes_) {
+    index[row[col]].push_back(rows_.size() - 1);
+  }
+  if (ColumnarSegment* seg = SegmentForUpdate()) seg->AppendRow(rows_);
   return true;
 }
 
 bool Relation::Erase(const Tuple& t) {
   if (set_.erase(t) == 0) return false;
-  auto pos = std::find(rows_.begin(), rows_.end(), t);
-  CCPI_CHECK(pos != rows_.end());
-  rows_.erase(pos);
+  std::unique_lock<std::shared_mutex> lock(index_mu_);
+  size_t pos = PositionOf(t);
+  rows_.erase(rows_.begin() + static_cast<ptrdiff_t>(pos));
   version_ = NextVersion();
-  InvalidateIndexes();
+  // Keep every posting ascending and equal to a fresh build: drop `pos`
+  // from the erased row's postings, then renumber the rows after it.
+  for (auto& [col, index] : indexes_) {
+    auto posting = index.find(t[col]);
+    CCPI_CHECK(posting != index.end());
+    std::vector<size_t>& hits = posting->second;
+    hits.erase(std::lower_bound(hits.begin(), hits.end(), pos));
+    if (hits.empty()) index.erase(posting);
+    if (pos == rows_.size()) continue;  // the last row: nothing after it
+    for (auto& [value, positions] : index) {
+      for (auto p = std::upper_bound(positions.begin(), positions.end(), pos);
+           p != positions.end(); ++p) {
+        --*p;
+      }
+    }
+  }
+  if (ColumnarSegment* seg = SegmentForUpdate()) seg->EraseRow(pos);
   return true;
+}
+
+size_t Relation::PositionOf(const Tuple& t) const {
+  if (indexes_.empty()) {
+    auto it = std::find(rows_.begin(), rows_.end(), t);
+    CCPI_CHECK(it != rows_.end());
+    return static_cast<size_t>(it - rows_.begin());
+  }
+  // The index with the most distinct values has the shortest postings.
+  auto best = indexes_.begin();
+  for (auto it = indexes_.begin(); it != indexes_.end(); ++it) {
+    if (it->second.size() > best->second.size()) best = it;
+  }
+  const std::vector<size_t>& posting = best->second.at(t[best->first]);
+  auto p = std::find_if(posting.begin(), posting.end(),
+                        [&](size_t i) { return rows_[i] == t; });
+  CCPI_CHECK(p != posting.end());
+  return *p;
+}
+
+ColumnarSegment* Relation::SegmentForUpdate() {
+  segment_published_ = false;
+  if (segment_ != nullptr && segment_.use_count() > 1) {
+    // A reader still holds this image: it keeps the old one.
+    segment_ = std::make_shared<ColumnarSegment>(*segment_);
+  }
+  return segment_.get();
 }
 
 bool Relation::Contains(const Tuple& t) const { return set_.count(t) > 0; }
@@ -122,14 +172,17 @@ const std::vector<size_t>& Relation::Probe(size_t col, const Value& v) const {
 void Relation::FreezeIndexes() const {
   std::unique_lock<std::shared_mutex> lock(index_mu_);
   for (size_t col = 0; col < arity_; ++col) BuildIndexLocked(col);
-  if (segment_ == nullptr && ColumnarEnabled()) {
+  if (!ColumnarEnabled()) return;
+  if (segment_ == nullptr) {
     segment_ = ColumnarSegment::Build(rows_, arity_);
     g_segment_build_count.fetch_add(1, std::memory_order_relaxed);
   }
+  segment_published_ = true;
 }
 
 std::shared_ptr<const ColumnarSegment> Relation::columnar_segment() const {
   std::shared_lock<std::shared_mutex> lock(index_mu_);
+  if (!segment_published_) return nullptr;
   return segment_;
 }
 
@@ -168,6 +221,7 @@ void Relation::InvalidateIndexes() {
   std::unique_lock<std::shared_mutex> lock(index_mu_);
   indexes_.clear();
   segment_.reset();
+  segment_published_ = false;
 }
 
 std::string Relation::ToString(const std::string& name) const {

@@ -20,8 +20,10 @@ namespace ccpi {
 ///
 /// The store keeps insertion order (benchmarks iterate deterministically) and
 /// a hash set for O(1) duplicate elimination and membership. Column indexes
-/// are built lazily on first probe and invalidated by mutation; the
-/// evaluation engine uses them for index-nested-loop joins.
+/// are built lazily on first probe (or all at once by FreezeIndexes) and
+/// from then on kept current by Insert and Erase, so a single-tuple update
+/// costs a posting append or removal, not a rebuild; only a copy or Clear()
+/// starts over. The evaluation engine uses them for index-nested-loop joins.
 ///
 /// Thread safety: a relation that is not being mutated may be read —
 /// rows(), Contains(), Probe(), FreezeIndexes() — from any number of
@@ -67,22 +69,27 @@ class Relation {
   /// Stable snapshot of the rows in insertion order (erased rows removed).
   const std::vector<Tuple>& rows() const { return rows_; }
 
-  /// Row indexes whose column `col` equals `v`. Builds the column index on
-  /// first use (thread-safe). `col` must be < arity(). The returned
-  /// reference stays valid until the next mutation.
+  /// Row indexes whose column `col` equals `v`, ascending. Builds the
+  /// column index on first use (thread-safe). `col` must be < arity(). The
+  /// returned reference stays valid until the next mutation.
   const std::vector<size_t>& Probe(size_t col, const Value& v) const;
 
-  /// Eagerly builds the index of every column, so a subsequent parallel
-  /// read phase probes without ever taking the exclusive build path. When
-  /// the columnar path is enabled this also builds the columnar segment,
-  /// so freezing is the single "now read-optimized" transition.
+  /// Eagerly builds the index of every column not built yet, so a
+  /// subsequent parallel read phase probes without ever taking the
+  /// exclusive build path. When the columnar path is enabled this also
+  /// builds the columnar segment if there is none, and publishes it, so
+  /// freezing is the single "now read-optimized" transition. On a relation
+  /// frozen before, both are already current and the freeze is O(arity).
   void FreezeIndexes() const;
 
-  /// The columnar image built by the last FreezeIndexes(), or null if the
-  /// relation has not been frozen (or was mutated since, or the columnar
-  /// path is disabled). The segment is immutable; holders may keep
-  /// scanning it after the relation mutates (snapshot semantics, same as
-  /// a copied Probe posting).
+  /// The columnar image published by the last FreezeIndexes(), or null if
+  /// the relation has not been frozen (or was mutated since, or the
+  /// columnar path is disabled). A mutation keeps the segment current but
+  /// un-publishes it until the next freeze, so only frozen relations hand
+  /// out a segment. A handed-out segment is immutable; holders may keep
+  /// scanning it after the relation mutates (the relation clones a held
+  /// segment before updating it: snapshot semantics, same as a copied
+  /// Probe posting).
   std::shared_ptr<const ColumnarSegment> columnar_segment() const;
 
   /// Process-wide switch for the columnar read path (default on). Off, a
@@ -118,20 +125,30 @@ class Relation {
   /// Builds (if absent) and returns the index of `col`. Caller must hold
   /// index_mu_ exclusively.
   const ColumnIndex& BuildIndexLocked(size_t col) const;
+  /// Position of `t` in rows_ (which must hold it): through a built
+  /// index's posting when there is one, else a linear search.
+  size_t PositionOf(const Tuple& t) const;
+  /// The segment, ready to be updated: cloned first if a reader holds it,
+  /// un-published either way. Null when there is none. Caller must hold
+  /// index_mu_ exclusively.
+  ColumnarSegment* SegmentForUpdate();
 
   size_t arity_;
   uint64_t version_ = 0;
   std::vector<Tuple> rows_;
   std::unordered_set<Tuple, TupleHash> set_;
-  // indexes_[col] maps value -> row positions in rows_. Guarded by
-  // index_mu_ (the posting vectors themselves are immutable once built
-  // until the next mutation invalidates the whole map).
+  // indexes_[col] maps value -> ascending row positions in rows_. Guarded
+  // by index_mu_ (the posting vectors change only under mutation, which is
+  // externally serialized against every reader).
   mutable std::shared_mutex index_mu_;
   mutable std::unordered_map<size_t, ColumnIndex> indexes_;
-  // Built by FreezeIndexes when the columnar path is on; dropped by the
-  // same mutations that drop the hash indexes. Guarded by index_mu_ (the
-  // pointee is immutable).
-  mutable std::shared_ptr<const ColumnarSegment> segment_;
+  // Built by the first FreezeIndexes when the columnar path is on, then
+  // kept current by Insert/Erase and dropped only by Clear or a copy.
+  // Readers see it only while
+  // segment_published_ (set by FreezeIndexes, cleared by every mutation).
+  // Guarded by index_mu_.
+  mutable std::shared_ptr<ColumnarSegment> segment_;
+  mutable bool segment_published_ = false;
   static const std::vector<size_t> kEmptyPosting;
 };
 

@@ -200,6 +200,23 @@ TEST(PlanCacheTest, TemplateStoreReturnsWinner) {
   EXPECT_EQ(cache.FindTemplate("other"), nullptr);
 }
 
+TEST(PlanCacheTest, StoresReportWhetherTheyInserted) {
+  // The manager counts a compile only for the store that inserted; a
+  // losing store adopted an entry that was already there.
+  PlanCache cache;
+  EXPECT_TRUE(cache.StoreTier1("k", PlanCache::Tier1Decision{true}));
+  EXPECT_FALSE(cache.StoreTier1("k", PlanCache::Tier1Decision{false}));
+  EXPECT_TRUE(cache.StoreResult("r", {Outcome::kHolds, {}}));
+  EXPECT_FALSE(cache.StoreResult("r", {Outcome::kUnknown, {}}));
+  EXPECT_EQ(cache.FindResult("r")->outcome, Outcome::kHolds);
+  // A never-store cache keeps nothing, and every caller's entry is the
+  // one in effect.
+  PlanCache never(/*store=*/false);
+  EXPECT_TRUE(never.StoreTier1("k", PlanCache::Tier1Decision{true}));
+  EXPECT_TRUE(never.StoreTier1("k", PlanCache::Tier1Decision{true}));
+  EXPECT_TRUE(never.StoreResult("r", {Outcome::kHolds, {}}));
+}
+
 TEST(PlanCacheTest, InvalidateDropsEveryFamily) {
   PlanCache cache;
   cache.StoreTier1("t1", PlanCache::Tier1Decision{true});
