@@ -67,9 +67,8 @@ std::unique_ptr<ConstraintManager> MakeManager(size_t constraints,
   CostModel costs;
   costs.trip_latency_us = trip_latency_us;
   auto mgr = std::make_unique<ConstraintManager>(
-      locals, costs, ResilienceConfig{}, ParallelConfig{threads},
-      RemoteCacheConfig{}, BudgetConfig{}, TopologyConfig{},
-      PlanCacheConfig{}, PipelineConfig{depth});
+      locals, costs,
+      ManagerConfig{.threads = threads, .pipeline = {.depth = depth}});
   for (size_t k = 0; k < constraints; ++k) {
     std::string ks = std::to_string(k);
     auto p = ParseProgram("panic :- l" + ks + "(X) & r" + ks + "(X)");

@@ -30,7 +30,8 @@ namespace {
 
 std::unique_ptr<ConstraintManager> MakeManager(ResilienceConfig resilience) {
   auto mgr = std::make_unique<ConstraintManager>(
-      std::set<std::string>{"reserved", "emp"}, CostModel{}, resilience);
+      std::set<std::string>{"reserved", "emp"}, CostModel{},
+      ManagerConfig{.resilience = resilience});
   CCPI_CHECK(mgr->AddConstraint(
                     "no-reserved-order",
                     *ParseProgram("panic :- reserved(P,Lo,Hi) & order(P,Q) & "

@@ -35,8 +35,8 @@ std::unique_ptr<ConstraintManager> MakeManager(size_t chain,
                                                BudgetConfig budget,
                                                ResilienceConfig resilience = {}) {
   auto mgr = std::make_unique<ConstraintManager>(
-      std::set<std::string>{"request"}, CostModel{}, resilience,
-      ParallelConfig{}, RemoteCacheConfig{}, budget);
+      std::set<std::string>{"request"}, CostModel{},
+      ManagerConfig{.resilience = resilience, .budget = budget});
   CCPI_CHECK(mgr->AddConstraint(
                     "no-path-to-blocked",
                     *ParseProgram("path(X,Y) :- edge(X,Y)\n"

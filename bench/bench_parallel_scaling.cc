@@ -36,8 +36,8 @@ namespace {
 std::unique_ptr<ConstraintManager> MakeManager(size_t constraints,
                                                size_t threads) {
   auto mgr = std::make_unique<ConstraintManager>(
-      std::set<std::string>{"l"}, CostModel{}, ResilienceConfig{},
-      ParallelConfig{threads});
+      std::set<std::string>{"l"}, CostModel{},
+      ManagerConfig{.threads = threads});
   Rng rng(17);
   for (size_t k = 0; k < constraints; ++k) {
     std::string t = "t" + std::to_string(k);

@@ -55,9 +55,8 @@ double NowNs() {
 std::unique_ptr<ConstraintManager> MakeManager(size_t constraints,
                                                bool plan) {
   auto mgr = std::make_unique<ConstraintManager>(
-      std::set<std::string>{"l"}, CostModel{}, ResilienceConfig{},
-      ParallelConfig{}, RemoteCacheConfig{}, BudgetConfig{}, TopologyConfig{},
-      PlanCacheConfig{plan});
+      std::set<std::string>{"l"}, CostModel{},
+      ManagerConfig{.plan_cache = plan});
   for (size_t k = 0; k < constraints; ++k) {
     std::string rel = "r" + std::to_string(k);
     auto p = ParseProgram("panic :- l(X,Y,Z) & " + rel + "(Y,A,B)");

@@ -39,8 +39,8 @@ constexpr size_t kDeptRows = 40;     // extra rows: remote relations have bulk
 std::unique_ptr<ConstraintManager> MakeManager(size_t constraints,
                                                bool cache) {
   auto mgr = std::make_unique<ConstraintManager>(
-      std::set<std::string>{"emp"}, CostModel{}, ResilienceConfig{},
-      ParallelConfig{}, RemoteCacheConfig{cache});
+      std::set<std::string>{"emp"}, CostModel{},
+      ManagerConfig{.remote_cache = {.enabled = cache}});
   for (size_t k = 0; k < constraints; ++k) {
     std::string dept = "dept" + std::to_string(k);
     auto p = ParseProgram("panic :- emp(E,D,S) & not " + dept + "(D)");

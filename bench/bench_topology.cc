@@ -51,13 +51,13 @@ std::unique_ptr<ConstraintManager> MakeManager(size_t sites,
                                                ResilienceConfig resilience,
                                                size_t threads = 1,
                                                bool with_audit = false) {
-  ParallelConfig parallel;
-  parallel.threads = threads;
-  TopologyConfig topology = MakeTopology(sites);
-  if (with_audit) topology.placement["audit"] = 0;
+  ManagerConfig config{.resilience = resilience,
+                       .threads = threads,
+                       .topology = MakeTopology(sites)};
+  if (with_audit) config.topology.placement["audit"] = 0;
   auto mgr = std::make_unique<ConstraintManager>(
-      std::set<std::string>{"reserved", "logged"}, CostModel{}, resilience,
-      parallel, RemoteCacheConfig{}, BudgetConfig{}, std::move(topology));
+      std::set<std::string>{"reserved", "logged"}, CostModel{},
+      std::move(config));
   for (size_t k = 0; k < kRemoteRelations; ++k) {
     std::string rel = "order" + std::to_string(k);
     CCPI_CHECK(mgr->AddConstraint(
@@ -323,11 +323,9 @@ LatencyRow RunLatency(const std::string& name, bool skew,
                       uint64_t hedge_after) {
   constexpr size_t kSites = 4;
   constexpr size_t kEpisodes = 120;
-  ParallelConfig parallel;
-  parallel.threads = 4;
-  RemoteCacheConfig remote_cache;
-  remote_cache.hedge_after = hedge_after;
-  TopologyConfig topology = MakeTopology(kSites);
+  ManagerConfig config{.threads = 4,
+                       .remote_cache = {.hedge_after = hedge_after},
+                       .topology = MakeTopology(kSites)};
   for (size_t s = 0; s < kSites; ++s) {
     SiteLatencyOverride o;
     if (skew && s == 0) {
@@ -340,12 +338,11 @@ LatencyRow RunLatency(const std::string& name, bool skew,
       o.model = LatencyModel::kFixed;
       o.fixed_us = skew ? 200 : 0;
     }
-    topology.site_latency[s] = o;
+    config.topology.site_latency[s] = o;
   }
   auto mgr = std::make_unique<ConstraintManager>(
       std::set<std::string>{"reserved", "logged"}, CostModel{},
-      ResilienceConfig{}, parallel, remote_cache, BudgetConfig{},
-      std::move(topology));
+      std::move(config));
   for (size_t k = 0; k < kRemoteRelations; ++k) {
     std::string rel = "order" + std::to_string(k);
     CCPI_CHECK(mgr->AddConstraint(

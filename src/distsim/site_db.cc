@@ -48,23 +48,6 @@ class ActiveReadGuard {
 }  // namespace
 
 void SiteDatabase::set_metrics(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    ctr_local_tuples_ = nullptr;
-    ctr_remote_tuples_ = nullptr;
-    ctr_remote_trips_ = nullptr;
-    ctr_remote_failures_ = nullptr;
-    ctr_cache_hits_ = nullptr;
-    ctr_cache_misses_ = nullptr;
-    ctr_cache_invalidations_ = nullptr;
-    hist_fill_latency_ = nullptr;
-    for (auto& st : site_states_) {
-      st->ctr_trips = nullptr;
-      st->ctr_failures = nullptr;
-      st->ctr_cache_hits = nullptr;
-      st->hist_latency = nullptr;
-    }
-    return;
-  }
   ctr_local_tuples_ = registry->GetCounter("distsim.local_tuples");
   ctr_remote_tuples_ = registry->GetCounter("distsim.remote_tuples");
   ctr_remote_trips_ = registry->GetCounter("distsim.remote_trips");
@@ -75,29 +58,15 @@ void SiteDatabase::set_metrics(obs::MetricsRegistry* registry) {
       registry->GetCounter("distsim.cache_invalidations");
   hist_fill_latency_ =
       registry->GetHistogram("distsim.cache_fill_latency_ns");
-  // Per-site counters only when there is more than one site: a 1-site
-  // registry dump stays byte-identical to the pre-topology catalog.
-  if (site_states_.size() > 1) {
-    for (size_t s = 0; s < site_states_.size(); ++s) {
-      std::string prefix = "distsim.site" + std::to_string(s);
-      site_states_[s]->ctr_trips =
-          registry->GetCounter(prefix + ".remote_trips");
-      site_states_[s]->ctr_failures =
-          registry->GetCounter(prefix + ".remote_failures");
-      site_states_[s]->ctr_cache_hits =
-          registry->GetCounter(prefix + ".cache_hits");
-    }
-  }
-  // Latency histograms only for sites running a non-fixed model: the
-  // default (fixed) configuration must leave the metric catalog — and so
-  // the --metrics-out dump — byte-identical to the pre-latency-model one.
   for (size_t s = 0; s < site_states_.size(); ++s) {
-    if (site_states_[s]->costs.latency_model == LatencyModel::kFixed) {
-      continue;
-    }
-    site_states_[s]->hist_latency = registry->GetHistogram(
-        "distsim.site" + std::to_string(s) + ".latency_us",
-        LatencyBoundsUs());
+    std::string prefix = "distsim.site" + std::to_string(s);
+    SiteState& st = *site_states_[s];
+    st.ctr_trips = registry->GetCounter(prefix + ".remote_trips");
+    st.ctr_failures = registry->GetCounter(prefix + ".remote_failures");
+    st.ctr_cache_hits = registry->GetCounter(prefix + ".cache_hits");
+    // Observed only by sites that draw latency (a non-fixed model).
+    st.hist_latency =
+        registry->GetHistogram(prefix + ".latency_us", LatencyBoundsUs());
   }
 }
 

@@ -202,10 +202,9 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
   /// latency exceeds `after` times that site's observed EWMA, one backup
   /// attempt is issued (billing one extra trip) and the faster of the two
   /// wins the wall clock. 0 (the default) disables hedging entirely —
-  /// no extra trips, no counters, byte-identical accounting. The counter
-  /// handles (may be null) receive the manager's conditionally registered
-  /// `manager.hedge.*` series. Configuration call: serialize against
-  /// reads.
+  /// no extra trips, no counts, byte-identical accounting. The counter
+  /// handles (may be null) receive the manager's `manager.hedge.*`
+  /// series. Configuration call: serialize against reads.
   void set_hedge(uint64_t after, obs::Counter* issued, obs::Counter* won,
                  obs::Counter* wasted) {
     hedge_after_ = after;
@@ -236,11 +235,11 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
            8;
   }
 
-  /// Attaches (or detaches, with nullptr) a metrics registry. Every read
-  /// then also bumps the `distsim.*` counters (see docs/observability.md)
-  /// in addition to the per-site AccessStats; topologies with more than
-  /// one site additionally get `distsim.site<k>.*` counters. Not owned;
-  /// must outlive the site.
+  /// Attaches a metrics registry and registers every `distsim.*` name in
+  /// it, `distsim.site<k>.*` for every site k included (see
+  /// docs/observability.md). Every read then also bumps those counters in
+  /// addition to the per-site AccessStats. Not owned; must outlive the
+  /// site.
   void set_metrics(obs::MetricsRegistry* registry);
 
   /// AccessObserver: attributes `count` enumerated tuples of `pred`.
@@ -400,11 +399,10 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
     // 0 = no observation yet (real latencies are >= 1us, so 0 is free
     // as the sentinel).
     std::atomic<uint64_t> latency_ewma_q8{0};
-    // Per-site obs handles; resolved only for multi-site topologies.
+    // Per-site obs handles, resolved in set_metrics.
     obs::Counter* ctr_trips = nullptr;
     obs::Counter* ctr_failures = nullptr;
     obs::Counter* ctr_cache_hits = nullptr;
-    // Registered iff this site's latency model is non-fixed.
     obs::Histogram* hist_latency = nullptr;
   };
 

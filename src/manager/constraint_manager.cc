@@ -56,10 +56,6 @@ bool EffectPresent(const Update& u, const Database& db) {
   return u.kind == Update::Kind::kInsert ? contains : !contains;
 }
 
-constexpr Tier kAllTiers[] = {Tier::kSubsumed, Tier::kUnaffected,
-                              Tier::kIndependence, Tier::kLocalTest,
-                              Tier::kFullCheck};
-
 /// Forwards every read to the real observer unchanged (so access
 /// accounting is identical to an unrecorded evaluation) while keeping the
 /// (pred, count) sequence for the bound-result memo: a later same-version
@@ -166,29 +162,15 @@ void ConstraintManager::InitObservability() {
   hist_plan_compile_ = metrics_.GetHistogram("plan.compile_latency_ns");
   ctr_budget_exhausted_ = metrics_.GetCounter("manager.budget_exhausted");
   ctr_deferred_dropped_ = metrics_.GetCounter("manager.deferred.dropped");
-  // Hedge counters exist only with hedging armed, and the latency-shed
-  // counter only when some site actually draws latency, so the default
-  // metrics dump stays byte-identical to the pre-hedging catalog.
-  if (remote_cache_.hedge_after > 0) {
-    ctr_hedge_issued_ = metrics_.GetCounter("manager.hedge.issued");
-    ctr_hedge_won_ = metrics_.GetCounter("manager.hedge.won");
-    ctr_hedge_wasted_ = metrics_.GetCounter("manager.hedge.wasted");
-  }
-  if (latency_aware_) {
-    ctr_latency_shed_ = metrics_.GetCounter("manager.latency_shed");
-  }
-  // Recovery counters exist only for multi-site topologies, so a 1-site
-  // manager's metrics dump stays byte-identical to the pre-topology
-  // catalog.
-  if (site_.sites() > 1) {
-    ctr_sites_recovered_ = metrics_.GetCounter("manager.recovery.sites");
-    ctr_cache_revalidated_ =
-        metrics_.GetCounter("manager.recovery.revalidated");
-    ctr_site_recovered_.resize(site_.sites());
-    for (size_t s = 0; s < site_.sites(); ++s) {
-      ctr_site_recovered_[s] =
-          metrics_.GetCounter("manager.recovery.site" + std::to_string(s));
-    }
+  ctr_hedge_issued_ = metrics_.GetCounter("manager.hedge.issued");
+  ctr_hedge_won_ = metrics_.GetCounter("manager.hedge.won");
+  ctr_hedge_wasted_ = metrics_.GetCounter("manager.hedge.wasted");
+  ctr_latency_shed_ = metrics_.GetCounter("manager.latency_shed");
+  ctr_sites_recovered_ = metrics_.GetCounter("manager.recovery.sites");
+  ctr_cache_revalidated_ = metrics_.GetCounter("manager.recovery.revalidated");
+  for (size_t s = 0; s < site_.sites(); ++s) {
+    ctr_site_recovered_.push_back(
+        metrics_.GetCounter("manager.recovery.site" + std::to_string(s)));
   }
   // Millisecond-scale bounds: the registry's default ladder is tuned for
   // nanosecond latencies, while this histogram records wall-clock budget
@@ -199,61 +181,52 @@ void ConstraintManager::InitObservability() {
   hist_apply_ = metrics_.GetHistogram("manager.apply_latency_ns");
   hist_remote_eval_ = metrics_.GetHistogram("manager.remote_eval_latency_ns");
   gauge_deferred_len_ = metrics_.GetGauge("manager.deferred_queue_len");
-  // Pipeline instrumentation exists only at an effective depth > 1, so a
-  // depth-1 (or budget-armed, which forces depth 1) manager's metrics
-  // dump stays byte-identical to the pre-pipeline catalog. Every
-  // increment site sits on a pipelined path, so the null handles are
-  // never dereferenced otherwise.
-  if (pipeline_.depth > 1 && !budget_armed_) {
-    ctr_pipe_admitted_ = metrics_.GetCounter("manager.pipeline.admitted");
-    ctr_pipe_committed_ = metrics_.GetCounter("manager.pipeline.committed");
-    ctr_pipe_conflicts_ = metrics_.GetCounter("manager.pipeline.conflicts");
-    ctr_pipe_retries_ = metrics_.GetCounter("manager.pipeline.retries");
-    ctr_pipe_unspeculated_ =
-        metrics_.GetCounter("manager.pipeline.unspeculated");
-    gauge_pipe_in_flight_ = metrics_.GetGauge("manager.pipeline.in_flight");
-    hist_pipe_commit_wait_ =
-        metrics_.GetHistogram("manager.pipeline.commit_wait_ns");
+  ctr_pipe_admitted_ = metrics_.GetCounter("manager.pipeline.admitted");
+  ctr_pipe_committed_ = metrics_.GetCounter("manager.pipeline.committed");
+  ctr_pipe_conflicts_ = metrics_.GetCounter("manager.pipeline.conflicts");
+  ctr_pipe_retries_ = metrics_.GetCounter("manager.pipeline.retries");
+  ctr_pipe_unspeculated_ = metrics_.GetCounter("manager.pipeline.unspeculated");
+  gauge_pipe_in_flight_ = metrics_.GetGauge("manager.pipeline.in_flight");
+  hist_pipe_commit_wait_ =
+      metrics_.GetHistogram("manager.pipeline.commit_wait_ns");
+  // The datalog engine and the RA evaluator resolve their counters by name
+  // when they run; registering the names here makes a fresh manager's dump
+  // the whole catalog.
+  for (const char* name :
+       {"eval.evaluations", "eval.rule_evals", "eval.fixpoint_rounds",
+        "eval.tuples_derived", "eval.budget_checks", "ra.evaluations",
+        "ra.nodes_evaluated"}) {
+    metrics_.GetCounter(name);
   }
 }
 
-ConstraintManager::ConstraintManager(
-    std::set<std::string> local_preds, CostModel cost_model,
-    ResilienceConfig resilience, ParallelConfig parallel,
-    RemoteCacheConfig remote_cache, BudgetConfig budget,
-    TopologyConfig topology, PlanCacheConfig plan_cache,
-    PipelineConfig pipeline)
-    : site_(std::move(local_preds), std::move(topology)),
-      cost_model_(cost_model),
-      resilience_(resilience),
-      parallel_(parallel),
-      remote_cache_(remote_cache),
-      plan_cache_(plan_cache),
-      budget_(budget),
-      budget_armed_(budget.armed()),
-      retry_rng_(resilience.retry_seed),
-      plans_(plan_cache.enabled),
-      pipeline_(pipeline),
-      pool_(std::make_unique<ThreadPool>(parallel.threads)) {
+ConstraintManager::ConstraintManager(std::set<std::string> local_preds,
+                                     CostModel cost_model,
+                                     ManagerConfig config)
+    : config_(std::move(config)),
+      site_(std::move(local_preds), config_.topology),
+      budget_armed_(config_.budget.armed()),
+      retry_rng_(config_.resilience.retry_seed),
+      plans_(config_.plan_cache),
+      pool_(std::make_unique<ThreadPool>(config_.threads)) {
   // One independent fault domain per site: each gets its own breaker
   // (same config) and its own recovery bookkeeping.
   breakers_.reserve(site_.sites());
   for (size_t s = 0; s < site_.sites(); ++s) {
-    breakers_.push_back(std::make_unique<CircuitBreaker>(resilience.breaker));
+    breakers_.push_back(
+        std::make_unique<CircuitBreaker>(config_.resilience.breaker));
   }
   site_was_dark_.assign(site_.sites(), false);
-  site_.EnableRemoteCache(remote_cache.enabled);
+  site_.EnableRemoteCache(config_.remote_cache.enabled);
   // Price every site with the manager's cost model, folding in the
   // topology's per-site latency overrides (the billing weights stay
   // uniform; only the latency distribution is per-site). Without this the
   // sites keep the default CostModel{}, which silently zeroes
   // trip_latency_us — the simulated round trips would be billed but never
-  // block, and latency-hiding machinery could not be measured. Pricing
-  // must precede InitObservability: the per-site latency histograms are
-  // registered off the priced models.
-  const auto& latency_overrides = site_.topology().config().site_latency;
+  // block, and latency-hiding machinery could not be measured.
+  const auto& latency_overrides = config_.topology.site_latency;
   for (size_t s = 0; s < site_.sites(); ++s) {
-    CostModel priced = cost_model_;
+    CostModel priced = cost_model;
     auto it = latency_overrides.find(s);
     if (it != latency_overrides.end()) {
       const SiteLatencyOverride& o = it->second;
@@ -267,7 +240,7 @@ ConstraintManager::ConstraintManager(
     site_.set_site_cost_model(s, priced);
   }
   InitObservability();
-  site_.set_hedge(remote_cache_.hedge_after, ctr_hedge_issued_,
+  site_.set_hedge(config_.remote_cache.hedge_after, ctr_hedge_issued_,
                   ctr_hedge_won_, ctr_hedge_wasted_);
 }
 
@@ -279,27 +252,16 @@ void ConstraintManager::ResetStats() {
   DrainInflightInternal();
   CCPI_DCHECK(inflight_.empty());
   for (obs::Counter* c : ctr_resolved_) c->Reset();
-  ctr_violations_->Reset();
-  ctr_remote_attempts_->Reset();
-  ctr_remote_retries_->Reset();
-  ctr_remote_failures_->Reset();
-  ctr_deferred_->Reset();
-  ctr_fast_fails_->Reset();
-  ctr_deferred_recovered_->Reset();
-  ctr_deferred_violations_->Reset();
-  ctr_t3_admitted_->Reset();
-  ctr_shed_->Reset();
-  ctr_budget_exhausted_->Reset();
-  ctr_deferred_dropped_->Reset();
-  if (ctr_sites_recovered_ != nullptr) ctr_sites_recovered_->Reset();
-  if (ctr_cache_revalidated_ != nullptr) ctr_cache_revalidated_->Reset();
-  for (obs::Counter* c : ctr_site_recovered_) {
-    if (c != nullptr) c->Reset();
+  for (obs::Counter* c : ctr_site_recovered_) c->Reset();
+  for (obs::Counter* c :
+       {ctr_violations_, ctr_remote_attempts_, ctr_remote_retries_,
+        ctr_remote_failures_, ctr_deferred_, ctr_fast_fails_,
+        ctr_deferred_recovered_, ctr_deferred_violations_, ctr_t3_admitted_,
+        ctr_shed_, ctr_budget_exhausted_, ctr_deferred_dropped_,
+        ctr_sites_recovered_, ctr_cache_revalidated_, ctr_hedge_issued_,
+        ctr_hedge_won_, ctr_hedge_wasted_, ctr_latency_shed_}) {
+    c->Reset();
   }
-  if (ctr_hedge_issued_ != nullptr) ctr_hedge_issued_->Reset();
-  if (ctr_hedge_won_ != nullptr) ctr_hedge_won_->Reset();
-  if (ctr_hedge_wasted_ != nullptr) ctr_hedge_wasted_->Reset();
-  if (ctr_latency_shed_ != nullptr) ctr_latency_shed_->Reset();
 }
 
 ManagerStats ConstraintManager::stats() const {
@@ -320,17 +282,12 @@ ManagerStats ConstraintManager::stats() const {
   s.shed_checks = ctr_shed_->value();
   s.budget_exhausted = ctr_budget_exhausted_->value();
   s.deferred_dropped = ctr_deferred_dropped_->value();
-  s.sites_recovered =
-      ctr_sites_recovered_ != nullptr ? ctr_sites_recovered_->value() : 0;
-  s.cache_revalidated =
-      ctr_cache_revalidated_ != nullptr ? ctr_cache_revalidated_->value() : 0;
-  s.hedges_issued =
-      ctr_hedge_issued_ != nullptr ? ctr_hedge_issued_->value() : 0;
-  s.hedges_won = ctr_hedge_won_ != nullptr ? ctr_hedge_won_->value() : 0;
-  s.hedges_wasted =
-      ctr_hedge_wasted_ != nullptr ? ctr_hedge_wasted_->value() : 0;
-  s.latency_shed =
-      ctr_latency_shed_ != nullptr ? ctr_latency_shed_->value() : 0;
+  s.sites_recovered = ctr_sites_recovered_->value();
+  s.cache_revalidated = ctr_cache_revalidated_->value();
+  s.hedges_issued = ctr_hedge_issued_->value();
+  s.hedges_won = ctr_hedge_won_->value();
+  s.hedges_wasted = ctr_hedge_wasted_->value();
+  s.latency_shed = ctr_latency_shed_->value();
   s.access = site_.stats();
   return s;
 }
@@ -802,7 +759,7 @@ Result<bool> ConstraintManager::EvaluateRemote(const Program& program,
   obs::Stopwatch sw;
   bool violated = false;
   RetryOutcome episode =
-      RunWithRetry(resilience_.retry, &retry_rng_, [&]() -> Status {
+      RunWithRetry(config_.resilience.retry, &retry_rng_, [&]() -> Status {
         EvalOptions options;
         options.observer = &site_;
         options.metrics = &metrics_;
@@ -881,7 +838,7 @@ bool ConstraintManager::UpdateRefused(
     if (r.outcome == Outcome::kViolated) return true;
     if (r.queue_overflow) return true;
     if (r.outcome == Outcome::kDeferred &&
-        resilience_.on_unreachable == DeferredPolicy::kReject) {
+        config_.resilience.on_unreachable == DeferredPolicy::kReject) {
       return true;
     }
   }
@@ -917,7 +874,8 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
   // inert and every checkpoint downstream is one branch on a null scope.
   BudgetScope episode_scope;
   if (budget_armed_) {
-    episode_scope = BudgetScope::Start(budget_.per_episode, budget_.cancel);
+    episode_scope =
+        BudgetScope::Start(config_.budget.per_episode, config_.budget.cancel);
   }
   const BudgetScope* episode = budget_armed_ ? &episode_scope : nullptr;
 
@@ -926,7 +884,8 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
   // answers again, earlier optimistic applies are re-verified before new
   // work builds on them. Any reachable site is reason enough to try — the
   // drain itself skips entries whose own sites are still dark.
-  if (resilience_.auto_recheck && !deferred_.empty() && AnySiteReachable()) {
+  if (config_.resilience.auto_recheck && !deferred_.empty() &&
+      AnySiteReachable()) {
     Result<std::vector<DeferredResolution>> drained =
         RecheckDeferredImpl(episode);
     if (!drained.ok()) return drained.status();
@@ -956,10 +915,10 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
     } else {
       ctr_pipe_conflicts_->Add(1);
       ctr_pipe_retries_->Add(1);
-      if (++conflict_streak_ >= pipeline_.max_conflict_streak) {
+      if (++conflict_streak_ >= config_.pipeline.max_conflict_streak) {
         // Sustained conflicts: stop speculating for a window of
         // admissions, then probe again.
-        serial_fallback_remaining_ = pipeline_.depth;
+        serial_fallback_remaining_ = config_.pipeline.depth;
         conflict_streak_ = 0;
       }
     }
@@ -1080,7 +1039,7 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
     // sequential path.
     bool parallel_t3 = pool_->thread_count() > 1 && need_full.size() > 1 &&
                        !site_.any_fault_injector() && AllBreakersClosed() &&
-                       budget_.per_episode.max_remote_trips == 0;
+                       config_.budget.per_episode.max_remote_trips == 0;
 
     // Budget split: every undecided constraint gets an *identical* child
     // scope — 1/N of each episode cap, the episode's absolute deadline and
@@ -1090,7 +1049,7 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
     std::vector<BudgetScope> check_scopes(budget_armed_ ? need_full.size()
                                                         : 0);
     for (BudgetScope& scope : check_scopes) {
-      scope = episode_scope.Split(need_full.size(), budget_.per_check);
+      scope = episode_scope.Split(need_full.size(), config_.budget.per_check);
     }
     auto scope_for = [&](size_t k) -> const BudgetScope* {
       return budget_armed_ ? &check_scopes[k] : nullptr;
@@ -1178,9 +1137,7 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
           report.outcome = Outcome::kDeferred;
           report.reason = StatusCode::kResourceExhausted;
           ctr_shed_->Add(1);
-          if (lat_shed[k] != 0 && ctr_latency_shed_ != nullptr) {
-            ctr_latency_shed_->Add(1);
-          }
+          if (lat_shed[k] != 0) ctr_latency_shed_->Add(1);
           any_deferred = true;
           continue;
         }
@@ -1202,7 +1159,8 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
       CCPI_RETURN_IF_ERROR(InverseOf(u).ApplyTo(&site_.db()));
       LogCommitWrite(u.pred);
     } else if (any_deferred) {
-      if (resilience_.on_unreachable == DeferredPolicy::kOptimisticApply) {
+      if (config_.resilience.on_unreachable ==
+          DeferredPolicy::kOptimisticApply) {
         // Keep the optimistic apply; queue each undecided constraint for
         // re-verification once the remote site answers — unless the queue
         // cap says the backlog of unverified work is already at its bound.
@@ -1210,9 +1168,9 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
         for (const CheckReport& r : reports) {
           fresh += r.outcome == Outcome::kDeferred ? 1 : 0;
         }
-        size_t cap = budget_.deferred_queue_cap;
+        size_t cap = config_.budget.deferred_queue_cap;
         bool over = cap != 0 && deferred_.size() + fresh > cap;
-        if (over && budget_.overflow == OverflowPolicy::kBlockRecheck &&
+        if (over && config_.budget.overflow == OverflowPolicy::kBlockRecheck &&
             AnySiteReachable()) {
           // Block: one synchronous drain pass to make room, then re-check
           // occupancy; falls back to refusal below if it freed nothing.
@@ -1221,7 +1179,7 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
           if (!drained.ok()) return drained.status();
           over = deferred_.size() + fresh > cap;
         }
-        if (over && budget_.overflow != OverflowPolicy::kShedOldest) {
+        if (over && config_.budget.overflow != OverflowPolicy::kShedOldest) {
           // The queue bounds the optimistic, still-unverified state this
           // site carries; refuse to exceed it (kRejectUpdate, or a
           // kBlockRecheck drain that could not make room).
@@ -1262,7 +1220,7 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
   bool kept =
       !noop && !violated && !overflow_refused &&
       !(any_deferred &&
-        resilience_.on_unreachable == DeferredPolicy::kReject);
+        config_.resilience.on_unreachable == DeferredPolicy::kReject);
   if (kept) {
     // An applied update supersedes any queued re-check of its exact
     // inverse: that check's effect no longer exists, so there is nothing
@@ -1304,7 +1262,7 @@ void ConstraintManager::DetectRecoveries() {
     obs::Span span("manager.site_recovery", "manager");
     if (span.active()) span.Attr("site", static_cast<int64_t>(s));
     ctr_sites_recovered_->Add(1);
-    if (ctr_site_recovered_[s] != nullptr) ctr_site_recovered_[s]->Add(1);
+    ctr_site_recovered_[s]->Add(1);
     std::set<std::string> preds;
     for (const Registered& r : constraints_) {
       for (const std::string& pred : r.remote_edb) {
@@ -1404,10 +1362,10 @@ ConstraintManager::RecheckDeferredImpl(const BudgetScope* episode) {
       // the re-check's remote trips honor the trip cap and deadline.
       BudgetScope recheck_scope;
       if (episode != nullptr) {
-        recheck_scope = episode->Split(1, budget_.per_check);
+        recheck_scope = episode->Split(1, config_.budget.per_check);
       } else if (budget_armed_) {
         recheck_scope =
-            BudgetScope::Start(budget_.per_check, budget_.cancel);
+            BudgetScope::Start(config_.budget.per_check, config_.budget.cancel);
       }
       // A named site still dark: requeue without evaluating (and without
       // touching `progress`, so a queue of only-dark entries terminates
@@ -1526,7 +1484,7 @@ void ConstraintManager::ApplyUpdateAsync(const Update& u) {
   // Budget-armed managers never pipeline: wall-clock deadlines are
   // admission-order sensitive, so speculation could change which checks a
   // deadline sheds.
-  const size_t depth = budget_armed_ ? 1 : pipeline_.depth;
+  const size_t depth = budget_armed_ ? 1 : config_.pipeline.depth;
   if (depth <= 1) {
     // Degenerate pipeline: exactly ApplyUpdate, result parked for Drain.
     pending_results_.push_back(RunEpisode(u, nullptr));

@@ -37,6 +37,11 @@ enum class Tier {
 
 const char* TierToString(Tier tier);
 
+/// Every tier, in ladder order.
+inline constexpr Tier kAllTiers[] = {Tier::kSubsumed, Tier::kUnaffected,
+                                     Tier::kIndependence, Tier::kLocalTest,
+                                     Tier::kFullCheck};
+
 /// What the manager does with an update whose tier-3 check could not reach
 /// the remote site.
 enum class DeferredPolicy {
@@ -64,22 +69,6 @@ struct ResilienceConfig {
   bool auto_recheck = true;
 };
 
-/// Degree of parallelism of ApplyUpdate's per-constraint check fan-out.
-///
-/// The tiered cascade makes each constraint's check for a given update a
-/// pure function of (constraint, update, frozen database), so the manager
-/// can evaluate them on a thread pool and merge verdicts afterwards. The
-/// fan-out is report-equivalent to the sequential order at any thread
-/// count: tier 1/2 checks touch only infallible local reads, and tier 3
-/// runs in parallel only when no fault injector is attached and the
-/// circuit breaker is plainly closed — the two cases where remote
-/// verdicts depend on global arrival order (see docs/concurrency.md).
-struct ParallelConfig {
-  /// Total checker lanes, counting the thread that called ApplyUpdate.
-  /// 0 and 1 both mean sequential (no worker threads are spawned).
-  size_t threads = 1;
-};
-
 /// The remote-read snapshot cache (see docs/remote_cache.md). On by
 /// default: the cache is semantically invisible — reports, verdicts, and
 /// the deferred queue are identical with it off — and only the access
@@ -93,24 +82,10 @@ struct RemoteCacheConfig {
   /// site's observed latency EWMA, the simulator issues one deterministic
   /// backup attempt and takes the faster of the two, billing exactly one
   /// extra remote trip per issued hedge (see docs/distsim.md "Hedged
-  /// reads"). 0 (the default) disables hedging: no extra trips, no
-  /// `manager.hedge.*` counters, byte-identical behavior. Hedging engages
-  /// at any site count, but only on sites with a non-fixed latency model.
+  /// reads"). 0 (the default) disables hedging: no extra trips, and the
+  /// `manager.hedge.*` counters stay 0. Hedging engages at any site count,
+  /// but only on sites with a non-fixed latency model.
   uint64_t hedge_after = 0;
-};
-
-/// The compiled local-test plan cache (see docs/plan_cache.md). On by
-/// default: like the remote cache it is semantically invisible — reports,
-/// ManagerStats (access accounting included) and the deferred queue are
-/// byte-identical with it off at any thread count — it only removes
-/// repeated per-update *analysis* work (tier-1 independence decisions,
-/// tier-2 artifacts, Theorem 5.3 compilations, tier-3 safety and
-/// stratification) by keying it on the update's pattern. Off builds a
-/// never-store PlanCache: the tiers run the same code and compile
-/// everything on every check. `ccpi_check --plan-cache=off` and
-/// benchmarks use the switch to measure that fully cold baseline.
-struct PlanCacheConfig {
-  bool enabled = true;
 };
 
 /// The pipelined episode scheduler (see docs/concurrency.md). With depth
@@ -190,6 +165,35 @@ struct BudgetConfig {
   bool armed() const {
     return per_episode.armed() || per_check.armed() || cancel != nullptr;
   }
+};
+
+/// Everything a ConstraintManager is built with besides its local
+/// predicates and cost model. Default-constructed, it is the plain
+/// sequential checker: one lane, both caches on, no budgets, one remote
+/// site, no pipelining. Build one with designated initializers; the
+/// `= {}` defaults let them skip any field without a GCC
+/// -Wmissing-field-initializers warning.
+struct ManagerConfig {
+  ResilienceConfig resilience = {};
+  /// Total checker lanes of ApplyUpdate's per-constraint fan-out, counting
+  /// the calling thread; 0 and 1 both mean sequential (no worker threads).
+  /// Each check is a pure function of (constraint, update, frozen
+  /// database), so reports are identical at any count: tier 3 fans out
+  /// only with no fault injector attached and every breaker plainly
+  /// closed, the two cases where remote verdicts would depend on arrival
+  /// order (see docs/concurrency.md).
+  size_t threads = 1;
+  RemoteCacheConfig remote_cache = {};
+  /// The compiled local-test plan cache (see docs/plan_cache.md). Like the
+  /// remote cache it is semantically invisible: reports, ManagerStats and
+  /// the deferred queue are byte-identical on or off at any thread count;
+  /// it only removes repeated per-update analysis work by keying it on the
+  /// update's pattern. Off builds a never-store PlanCache: the tiers run
+  /// the same code and compile everything on every check.
+  bool plan_cache = true;
+  BudgetConfig budget = {};
+  TopologyConfig topology = {};
+  PipelineConfig pipeline = {};
 };
 
 /// Aggregate statistics across updates. This is a *snapshot view*: the
@@ -318,12 +322,7 @@ class ConstraintManager {
   // Defined in the .cc: the body (and unwind paths) needs the complete
   // Episode type behind inflight_.
   ConstraintManager(std::set<std::string> local_preds, CostModel cost_model,
-                    ResilienceConfig resilience = {},
-                    ParallelConfig parallel = {},
-                    RemoteCacheConfig remote_cache = {},
-                    BudgetConfig budget = {}, TopologyConfig topology = {},
-                    PlanCacheConfig plan_cache = {},
-                    PipelineConfig pipeline = {});
+                    ManagerConfig config = {});
 
   /// Drains any in-flight pipelined episodes (uncommitted speculation is
   /// discarded, never applied) before tearing down the thread pool.
@@ -419,16 +418,6 @@ class ConstraintManager {
   /// Number of remote sites (>= 1).
   size_t sites() const { return site_.sites(); }
 
-  /// The fan-out configuration this manager was built with.
-  const ParallelConfig& parallel() const { return parallel_; }
-  /// The remote-cache configuration this manager was built with.
-  const RemoteCacheConfig& remote_cache() const { return remote_cache_; }
-  /// The plan-cache configuration this manager was built with.
-  const PlanCacheConfig& plan_cache() const { return plan_cache_; }
-  /// The budget configuration this manager was built with.
-  const BudgetConfig& budget() const { return budget_; }
-  /// The pipeline configuration this manager was built with.
-  const PipelineConfig& pipeline() const { return pipeline_; }
   /// Episodes currently admitted but not yet retired.
   size_t in_flight() const { return inflight_.size(); }
   /// Checker lanes actually available (>= 1; the caller is one).
@@ -621,15 +610,12 @@ class ConstraintManager {
   /// under DeferredPolicy::kReject).
   bool UpdateRefused(const std::vector<CheckReport>& reports) const;
 
+  /// The configuration this manager was built with. Declared before
+  /// site_, which is built from its topology.
+  const ManagerConfig config_;
   SiteDatabase site_;
-  CostModel cost_model_;
-  ResilienceConfig resilience_;
-  ParallelConfig parallel_;
-  RemoteCacheConfig remote_cache_;
-  PlanCacheConfig plan_cache_;
-  BudgetConfig budget_;
-  /// budget_.armed(), precomputed: the unbudgeted hot path pays exactly
-  /// one branch on this flag.
+  /// config_.budget.armed(), precomputed: the unbudgeted hot path pays
+  /// exactly one branch on this flag.
   bool budget_armed_ = false;
   /// One breaker per remote site (heap-allocated: a breaker owns a mutex
   /// and is not movable). breakers_[0] doubles as the legacy single
@@ -644,7 +630,7 @@ class ConstraintManager {
   Rng retry_rng_;
   std::vector<Registered> constraints_;
   /// The compiled-plan cache (see docs/plan_cache.md); never-store while
-  /// PlanCacheConfig::enabled is false. Wholesale invalidated on
+  /// ManagerConfig::plan_cache is false. Wholesale invalidated on
   /// AddConstraint: registration changes the active set that tier-1
   /// decisions quantify over and the signature constant pool.
   PlanCache plans_;
@@ -660,7 +646,6 @@ class ConstraintManager {
   std::deque<DeferredCheck> deferred_;
   uint64_t update_sequence_ = 0;
 
-  PipelineConfig pipeline_;
   /// Admitted, not yet retired, in admission order (== commit order).
   std::deque<std::unique_ptr<Episode>> inflight_;
   /// Results of retired episodes since the last Drain, admission order.
@@ -704,24 +689,20 @@ class ConstraintManager {
   obs::Counter* ctr_deferred_dropped_ = nullptr;
   obs::Counter* ctr_sites_recovered_ = nullptr;
   obs::Counter* ctr_cache_revalidated_ = nullptr;
-  /// Per-site recovery counters ("manager.recovery.site<k>"), resolved
-  /// only for multi-site topologies.
+  /// Per-site recovery counters ("manager.recovery.site<k>").
   std::vector<obs::Counter*> ctr_site_recovered_;
-  /// Hedged-read counters ("manager.hedge.*"), resolved only when
-  /// RemoteCacheConfig::hedge_after > 0 so the default metric catalog is
-  /// untouched; handed to the SiteDatabase which does the counting.
+  /// Hedged-read counters ("manager.hedge.*"), handed to the SiteDatabase
+  /// which does the counting.
   obs::Counter* ctr_hedge_issued_ = nullptr;
   obs::Counter* ctr_hedge_won_ = nullptr;
   obs::Counter* ctr_hedge_wasted_ = nullptr;
-  /// Latency-aware shed counter ("manager.latency_shed"), resolved only
-  /// when some site runs a non-fixed latency model (latency_aware_).
+  /// Latency-aware shed counter ("manager.latency_shed").
   obs::Counter* ctr_latency_shed_ = nullptr;
   /// True iff any site's effective cost model draws latency (non-fixed):
-  /// the gate on the EWMA-projection shed and its counter.
+  /// the gate on the EWMA-projection shed.
   bool latency_aware_ = false;
-  /// Plan-cache instrumentation, registered in both modes. Deliberately
-  /// NOT part of stats(): ManagerStats must stay byte-identical cache
-  /// on/off.
+  /// Plan-cache instrumentation. Deliberately NOT part of stats():
+  /// ManagerStats must stay byte-identical cache on/off.
   obs::Counter* ctr_plan_compiles_ = nullptr;
   obs::Counter* ctr_plan_hits_ = nullptr;
   obs::Counter* ctr_plan_delta_ = nullptr;
@@ -730,10 +711,8 @@ class ConstraintManager {
   obs::Histogram* hist_apply_ = nullptr;
   obs::Histogram* hist_remote_eval_ = nullptr;
   obs::Gauge* gauge_deferred_len_ = nullptr;
-  /// Pipeline instrumentation, resolved only when depth > 1 (every
-  /// increment site is gated on a pipelined path, so the handles are
-  /// never dereferenced at depth 1 — the depth-1 metrics catalog is
-  /// byte-identical to the pre-pipeline manager). NOT part of stats().
+  /// Pipeline instrumentation; every increment sits on a pipelined path,
+  /// so at depth 1 these stay 0. NOT part of stats().
   obs::Counter* ctr_pipe_admitted_ = nullptr;
   obs::Counter* ctr_pipe_committed_ = nullptr;
   obs::Counter* ctr_pipe_conflicts_ = nullptr;

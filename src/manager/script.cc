@@ -150,7 +150,7 @@ bool ApplyPlacement(std::string_view value, KnobForm,
                     ScriptOptions* options) {
   std::vector<std::string_view> pairs;
   if (!SplitList(value, ',', &pairs)) return false;
-  std::map<std::string, size_t> placement = options->topology.placement;
+  std::map<std::string, size_t> placement = options->manager.topology.placement;
   for (std::string_view pair : pairs) {
     std::string_view pred, site_text;
     uint64_t site = 0;
@@ -160,7 +160,7 @@ bool ApplyPlacement(std::string_view value, KnobForm,
     }
     placement[std::string(pred)] = static_cast<size_t>(site);
   }
-  options->topology.placement = std::move(placement);
+  options->manager.topology.placement = std::move(placement);
   return true;
 }
 
@@ -171,7 +171,7 @@ bool ApplyDomains(std::string_view value, KnobForm form,
   std::vector<std::string_view> specs, members;
   if (!SplitList(value, ',', &specs)) return false;
   std::vector<FailureDomain> domains;
-  if (form == KnobForm::kDirective) domains = options->topology.domains;
+  if (form == KnobForm::kDirective) domains = options->manager.topology.domains;
   for (std::string_view spec : specs) {
     std::string_view name, member_list;
     if (!SplitHead(spec, &name, &member_list) ||
@@ -187,7 +187,7 @@ bool ApplyDomains(std::string_view value, KnobForm form,
     }
     domains.push_back(std::move(dom));
   }
-  options->topology.domains = std::move(domains);
+  options->manager.topology.domains = std::move(domains);
   return true;
 }
 
@@ -307,14 +307,16 @@ const std::vector<Knob>& ScriptKnobs() {
                "fan-out (default 1 = sequential; reports\n"
                "are identical at any thread count)",
        .max = kMaxThreads,
-       .set_uint = [](O* o, uint64_t n) { o->parallel.threads = n; }},
+       .set_uint = [](O* o, uint64_t n) { o->manager.threads = n; }},
       {.flag = "remote-cache",
        .metavar = "on|off",
        .wants = "on or off",
        .help = "remote-read snapshot cache (default on;\n"
                "semantically invisible — only the access\n"
                "accounting changes)",
-       .set_on_off = [](O* o, bool on) { o->remote_cache.enabled = on; }},
+       .set_on_off = [](O* o, bool on) {
+         o->manager.remote_cache.enabled = on;
+       }},
       {.flag = "plan-cache",
        .metavar = "on|off",
        .wants = "on or off",
@@ -322,7 +324,7 @@ const std::vector<Knob>& ScriptKnobs() {
                "semantically invisible — reports and stats\n"
                "are byte-identical either way)",
        .directive = "plan_cache on|off",
-       .set_on_off = [](O* o, bool on) { o->plan_cache.enabled = on; }},
+       .set_on_off = [](O* o, bool on) { o->manager.plan_cache = on; }},
       {.flag = "columnar",
        .metavar = "on|off",
        .wants = "on or off",
@@ -341,7 +343,7 @@ const std::vector<Knob>& ScriptKnobs() {
                "so stdout is byte-identical at any depth)",
        .directive = "pipeline N",
        .min = 1,
-       .set_uint = [](O* o, uint64_t n) { o->pipeline.depth = n; }},
+       .set_uint = [](O* o, uint64_t n) { o->manager.pipeline.depth = n; }},
       {.flag = "fault-rate",
        .metavar = "P",
        .wants = "a probability in [0,1]",
@@ -385,7 +387,7 @@ const std::vector<Knob>& ScriptKnobs() {
        .help = "refuse undecided updates instead of applying\n"
                "them optimistically with a deferred re-check",
        .apply = [](std::string_view, KnobForm, O* o) {
-         o->resilience.on_unreachable = DeferredPolicy::kReject;
+         o->manager.resilience.on_unreachable = DeferredPolicy::kReject;
          return true;
        }},
       {.flag = "sites",
@@ -400,7 +402,7 @@ const std::vector<Knob>& ScriptKnobs() {
        .directive = "sites N",
        .min = 1,
        .max = kMaxSites,
-       .set_uint = [](O* o, uint64_t n) { o->topology.sites = n; }},
+       .set_uint = [](O* o, uint64_t n) { o->manager.topology.sites = n; }},
       {.flag = "placement",
        .metavar = "p:0,q:1",
        .wants = "pred:site pairs like p:0,q:1",
@@ -465,7 +467,7 @@ const std::vector<Knob>& ScriptKnobs() {
              !ParseLatencySpec(rest, &latency)) {
            return false;
          }
-         o->topology.site_latency[site] = latency;
+         o->manager.topology.site_latency[site] = latency;
          return true;
        }},
       {.flag = "hedge-after",
@@ -477,7 +479,9 @@ const std::vector<Knob>& ScriptKnobs() {
                "(0 = off, default; each issued hedge bills\n"
                "one extra trip, tuples are counted once)",
        .directive = "hedge_after N",
-       .set_uint = [](O* o, uint64_t n) { o->remote_cache.hedge_after = n; }},
+       .set_uint = [](O* o, uint64_t n) {
+         o->manager.remote_cache.hedge_after = n;
+       }},
       {.flag = "domains",
        .metavar = "NAME:S0+S1,...",
        .wants = "NAME:S0+S1,... domain specs",
@@ -514,28 +518,28 @@ const std::vector<Knob>& ScriptKnobs() {
                "deferred queue (0 = no deadline, default)",
        .max = kMaxDeadlineMs,
        .set_uint = [](O* o, uint64_t n) {
-         o->budget.per_episode.deadline_ms = n;
+         o->manager.budget.per_episode.deadline_ms = n;
        }},
       {.flag = "max-fixpoint-rounds",
        .metavar = "N",
        .wants = "a non-negative integer (0 = unlimited)",
        .help = "per-check cap on fixpoint rounds\n(0 = unlimited, default)",
        .set_uint = [](O* o, uint64_t n) {
-         o->budget.per_check.max_fixpoint_rounds = n;
+         o->manager.budget.per_check.max_fixpoint_rounds = n;
        }},
       {.flag = "max-derived-tuples",
        .metavar = "N",
        .wants = "a non-negative integer (0 = unlimited)",
        .help = "per-check cap on derived tuples\n(0 = unlimited, default)",
        .set_uint = [](O* o, uint64_t n) {
-         o->budget.per_check.max_derived_tuples = n;
+         o->manager.budget.per_check.max_derived_tuples = n;
        }},
       {.flag = "deferred-queue-cap",
        .metavar = "N",
        .wants = "a non-negative integer (0 = unbounded)",
        .help = "bound on queued deferred re-checks\n(0 = unbounded, default)",
        .set_uint = [](O* o, uint64_t n) {
-         o->budget.deferred_queue_cap = n;
+         o->manager.budget.deferred_queue_cap = n;
        }},
       {.flag = "overflow-policy",
        .metavar = "P",
@@ -545,11 +549,11 @@ const std::vector<Knob>& ScriptKnobs() {
                "(default reject-update)",
        .apply = [](std::string_view v, KnobForm, O* o) {
          if (v == "reject-update") {
-           o->budget.overflow = OverflowPolicy::kRejectUpdate;
+           o->manager.budget.overflow = OverflowPolicy::kRejectUpdate;
          } else if (v == "shed-oldest") {
-           o->budget.overflow = OverflowPolicy::kShedOldest;
+           o->manager.budget.overflow = OverflowPolicy::kShedOldest;
          } else if (v == "block-recheck") {
-           o->budget.overflow = OverflowPolicy::kBlockRecheck;
+           o->manager.budget.overflow = OverflowPolicy::kBlockRecheck;
          } else {
            return false;
          }
@@ -659,7 +663,7 @@ Result<Script> ParseScript(std::string_view text) {
       // A `domain_outage` line attaches to a domain declared above it.
       Status attached =
           AttachDomainOutages(where, script.options.domain_outages,
-                              &script.options.topology.domains);
+                              &script.options.manager.topology.domains);
       script.options.domain_outages.clear();
       CCPI_RETURN_IF_ERROR(attached);
     } else {
@@ -705,7 +709,7 @@ Status ApplyScriptFlag(std::string_view arg, ScriptOptions* options,
 Status ValidateScriptOptions(const ScriptOptions& options) {
   // Messages name both spellings of a knob: the value may have come from
   // a directive, a flag, or (for the count) one of each.
-  const TopologyConfig& topology = options.topology;
+  const TopologyConfig& topology = options.manager.topology;
   auto site_in_range = [&](size_t site, const std::string& who) {
     if (site < topology.sites) return Status::OK();
     return Status::InvalidArgument(who + " site " + std::to_string(site) +
@@ -764,10 +768,10 @@ Result<ScriptReport> RunScript(const Script& script) {
   CCPI_RETURN_IF_ERROR(ValidateScriptOptions(options));
   // --domain-outage windows attach by name only now, after every flag is
   // applied, so flag order never matters.
-  TopologyConfig topology = options.topology;
+  ManagerConfig config = options.manager;
   CCPI_RETURN_IF_ERROR(
       AttachDomainOutages("--domain-outage", options.domain_outages,
-                          &topology.domains));
+                          &config.topology.domains));
 
   // Columnar read path: a process-wide switch on Relation, applied before
   // the manager freezes anything. Semantically invisible (byte-identical
@@ -775,15 +779,13 @@ Result<ScriptReport> RunScript(const Script& script) {
   // row-at-a-time path.
   Relation::SetColumnarEnabled(options.columnar);
 
-  ConstraintManager mgr(script.local_preds, costs, options.resilience,
-                        options.parallel, options.remote_cache, options.budget,
-                        topology, options.plan_cache, options.pipeline);
+  ConstraintManager mgr(script.local_preds, costs, config);
   // Correlated failure domains ride the per-site injectors: each domain's
   // outage windows are copied to every member site, so the whole domain
   // goes dark (and recovers) together. Any expanded window arms fault
   // injection even without --fault-* flags.
   std::vector<std::vector<OutageWindow>> domain_windows =
-      ExpandDomainOutages(topology);
+      ExpandDomainOutages(config.topology);
   bool any_domain_outage = false;
   for (const std::vector<OutageWindow>& windows : domain_windows) {
     if (!windows.empty()) any_domain_outage = true;
@@ -795,7 +797,7 @@ Result<ScriptReport> RunScript(const Script& script) {
   // --site-fault-seed pins them together.
   std::vector<std::unique_ptr<FaultInjector>> injectors;
   if (options.enable_faults || any_domain_outage) {
-    for (size_t s = 0; s < topology.sites; ++s) {
+    for (size_t s = 0; s < config.topology.sites; ++s) {
       FaultConfig cfg = options.faults;
       if (s > 0) cfg.seed = cfg.seed + s * 0x9e3779b97f4a7c15ull;
       auto it = options.site_faults.find(s);
@@ -833,7 +835,7 @@ Result<ScriptReport> RunScript(const Script& script) {
   }
 
   bool reject_on_defer =
-      options.resilience.on_unreachable == DeferredPolicy::kReject;
+      config.resilience.on_unreachable == DeferredPolicy::kReject;
   ScriptReport report;
   auto log_update = [&](const Update& u,
                         const std::vector<CheckReport>& checks) {
@@ -869,7 +871,7 @@ Result<ScriptReport> RunScript(const Script& script) {
       ++report.updates_applied;
     }
   };
-  if (options.pipeline.depth > 1) {
+  if (config.pipeline.depth > 1) {
     // Pipelined drive: admit the whole stream, then read results back in
     // admission order. Commits are serialized inside the manager, so the
     // verb lines below are byte-identical to the serial loop; the first
@@ -894,7 +896,7 @@ Result<ScriptReport> RunScript(const Script& script) {
   // at shutdown, so wait out the breaker cooldown between rounds; stop
   // when a round makes no progress (the site is still unreachable).
   while (!mgr.deferred_queue().empty()) {
-    mgr.TickBreaker(options.resilience.breaker.cooldown_ticks + 1);
+    mgr.TickBreaker(config.resilience.breaker.cooldown_ticks + 1);
     CCPI_ASSIGN_OR_RETURN(std::vector<DeferredResolution> late,
                           mgr.RecheckDeferred());
     if (late.empty()) break;
@@ -914,7 +916,7 @@ Result<ScriptReport> RunScript(const Script& script) {
   report.deferred_pending = mgr.deferred_queue().size();
   report.violations = stats.violations;
   report.budget_armed =
-      options.budget.armed() || options.budget.deferred_queue_cap != 0;
+      config.budget.armed() || config.budget.deferred_queue_cap != 0;
   report.shed_checks = stats.shed_checks;
   report.budget_exhausted = stats.budget_exhausted;
   report.deferred_dropped = stats.deferred_dropped;
@@ -935,11 +937,11 @@ Result<ScriptReport> RunScript(const Script& script) {
           << access.remote_tuples << " remote tuples in "
           << access.remote_trips << " trips (cost " << access.Cost(costs)
           << ")\n";
-  if (options.remote_cache.enabled) {
+  if (config.remote_cache.enabled) {
     summary << "cache: " << access.cache_hits << " remote reads served ("
             << access.cached_tuples << " cached tuples)\n";
   }
-  if (options.plan_cache.enabled && options.print_stats) {
+  if (config.plan_cache && options.print_stats) {
     // Diagnostics only: plan.* counters live outside ManagerStats, so the
     // report proper stays byte-identical cache on/off; this line exists
     // only when the cache does.
@@ -977,13 +979,13 @@ Result<ScriptReport> RunScript(const Script& script) {
     }
     // The hedge and latency lines exist only when their feature does, so
     // a default-config --stats block is byte-identical to earlier tools.
-    if (options.remote_cache.hedge_after > 0) {
+    if (config.remote_cache.hedge_after > 0) {
       summary << "hedge: " << stats.hedges_issued << " issued, "
               << stats.hedges_won << " won, " << stats.hedges_wasted
               << " wasted\n";
     }
     bool latency_models = costs.latency_model != LatencyModel::kFixed;
-    for (const auto& [site, o] : topology.site_latency) {
+    for (const auto& [site, o] : config.topology.site_latency) {
       (void)site;
       if (o.model != LatencyModel::kFixed) latency_models = true;
     }

@@ -44,11 +44,6 @@ struct ScriptOptions {
   /// sites draw independent schedules by default.
   FaultConfig faults;
   bool enable_faults = false;
-  /// Remote-site topology: `sites` / `site` / `site_latency` / `domain` /
-  /// `domain_outage` directives, then --sites (replaces the count),
-  /// --placement (overlays per predicate), --site-latency (overlays per
-  /// site) and --domains (replaces the domain list wholesale).
-  TopologyConfig topology;
   /// Correlated-outage windows from --domain-outage=NAME:A:B, attached by
   /// name to the final failure domains when the run starts, so flag order
   /// never matters. A window naming a domain that does not exist is a
@@ -59,33 +54,24 @@ struct ScriptOptions {
   /// Per-site fault overrides from --site-fault-rate=S:P and friends;
   /// any entry implies enable_faults.
   std::map<size_t, SiteFaultOverride> site_faults;
-  ResilienceConfig resilience;
-  /// Checker lanes for the manager's per-constraint fan-out
-  /// (ccpi_check --threads). Reports are identical at any thread count.
-  ParallelConfig parallel;
-  /// Remote-read snapshot cache (ccpi_check --remote-cache). On by
-  /// default; semantically invisible either way. Its hedge_after field
-  /// (`hedge_after` / --hedge-after) arms hedged batched reads.
-  RemoteCacheConfig remote_cache;
-  /// Compiled-plan cache (`plan_cache` / --plan-cache). On by default;
-  /// semantically invisible either way — reports and ManagerStats are
-  /// byte-identical on or off.
-  PlanCacheConfig plan_cache;
-  /// Episode pipeline (`pipeline` / --pipeline-depth). Depth 1 (the
-  /// default) is the serial checker; depth N>1 overlaps speculative
-  /// check phases while commits stay serialized in admission order, so
-  /// the per-update log is byte-identical at any depth.
-  PipelineConfig pipeline;
+  /// The manager's configuration. The knobs write its fields:
+  /// `threads` (--threads; reports are identical at any count),
+  /// `remote_cache` (--remote-cache, and `hedge_after` / --hedge-after),
+  /// `plan_cache` (`plan_cache` / --plan-cache), `pipeline`
+  /// (`pipeline` / --pipeline-depth; the per-update log is byte-identical
+  /// at any depth), `budget` (--deadline-ms, --max-fixpoint-rounds,
+  /// --max-derived-tuples, --deferred-queue-cap, --overflow-policy; off by
+  /// default), `resilience` (--fault-reject) and `topology` (`sites` /
+  /// `site` / `site_latency` / `domain` / `domain_outage` directives, then
+  /// --sites replaces the count, --placement overlays per predicate,
+  /// --site-latency overlays per site and --domains replaces the domain
+  /// list wholesale).
+  ManagerConfig manager;
   /// Columnar read path (ccpi_check --columnar). On by default;
   /// semantically invisible either way — freezing a relation additionally
   /// builds a columnar segment that the RA evaluator's scan/join kernels
   /// use, with byte-identical reports and stats on or off.
   bool columnar = true;
-  /// Execution budgets and overload control (ccpi_check --deadline-ms,
-  /// --max-fixpoint-rounds, --max-derived-tuples, --deferred-queue-cap,
-  /// --overflow-policy). Off by default: an unbudgeted run is bit-identical
-  /// to one before budgets existed.
-  BudgetConfig budget;
   /// Append the full ManagerStats block (retries, deferred/recovered
   /// outcomes, breaker state) to the report text.
   bool print_stats = false;

@@ -114,10 +114,11 @@ RunResult RunWorkload(uint64_t seed, size_t threads, bool columnar,
                       size_t depth = 1) {
   ColumnarToggle toggle(columnar);
   uint64_t segments_before = Relation::DebugSegmentBuildCount();
-  ConstraintManager mgr({"l", "emp"}, CostModel{}, ResilienceConfig{},
-                        ParallelConfig{threads}, RemoteCacheConfig{cache},
-                        BudgetConfig{}, TopologyConfig{},
-                        PlanCacheConfig{plan_cache}, PipelineConfig{depth});
+  ConstraintManager mgr({"l", "emp"}, CostModel{},
+                        {.threads = threads,
+                         .remote_cache = {.enabled = cache},
+                         .plan_cache = plan_cache,
+                         .pipeline = {.depth = depth}});
   std::optional<FaultInjector> injector;
   if (faults.has_value()) {
     injector.emplace(*faults);
@@ -317,8 +318,8 @@ TEST(ColumnarEquivalenceTest, ColumnarOnThreadsStillMatchSequential) {
 RunResult RunBudgetWorkload(size_t threads, bool columnar,
                             BudgetConfig budget) {
   ColumnarToggle toggle(columnar);
-  ConstraintManager mgr({"lq", "l"}, CostModel{}, ResilienceConfig{},
-                        ParallelConfig{threads}, RemoteCacheConfig{}, budget);
+  ConstraintManager mgr({"lq", "l"}, CostModel{},
+                        {.threads = threads, .budget = budget});
   EXPECT_TRUE(mgr.AddConstraint(
                      "deep1",
                      MustParse("panic :- lq(X) & path(X,Y) & bad(Y)\n"

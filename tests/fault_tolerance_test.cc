@@ -48,7 +48,8 @@ Outcome OutcomeOf(const std::vector<CheckReport>& reports,
 /// attached injector owned by the fixture.
 struct Rig {
   explicit Rig(ResilienceConfig resilience = {}, FaultConfig faults = {})
-      : injector(faults), mgr({"l", "emp"}, CostModel{}, resilience) {
+      : injector(faults),
+        mgr({"l", "emp"}, CostModel{}, {.resilience = resilience}) {
     EXPECT_TRUE(mgr.AddConstraint(
                        "fi",
                        MustParse(
@@ -391,8 +392,8 @@ TEST(FaultToleranceTest, RejectPolicyAbortsTransactionOnOutage) {
 struct BudgetRig {
   explicit BudgetRig(BudgetConfig budget, ResilienceConfig resilience = {})
       : injector(FaultConfig{}),
-        mgr({"l", "l2"}, CostModel{}, resilience, ParallelConfig{},
-            RemoteCacheConfig{}, budget) {
+        mgr({"l", "l2"}, CostModel{},
+            {.resilience = resilience, .budget = budget}) {
     EXPECT_TRUE(mgr.AddConstraint(
                        "fi",
                        MustParse(
@@ -523,7 +524,7 @@ TEST(FaultToleranceTest, DeadPredDoesNotBlockOtherRechecksBehindIt) {
   resilience.breaker.failure_threshold = 1000;
   resilience.auto_recheck = false;  // drain explicitly, assert precisely
   FaultInjector injector{FaultConfig{}};
-  ConstraintManager mgr({"l"}, CostModel{}, resilience);
+  ConstraintManager mgr({"l"}, CostModel{}, {.resilience = resilience});
   mgr.site().set_fault_injector(&injector);
   ASSERT_TRUE(mgr.AddConstraint(
                      "a", MustParse("panic :- l(X,Y) & r1(Z) & X <= Z & Z <= Y"))
@@ -576,8 +577,8 @@ TEST(FaultToleranceTest, ScriptRunReportsDeferredAndRecovers) {
   // Outage covering the whole stream's remote trips; the shutdown drain
   // runs after it ends (trip indices past the window succeed).
   options.faults.outages.push_back(OutageWindow{0, 3});
-  options.resilience.retry.max_attempts = 1;
-  options.resilience.breaker.cooldown_ticks = 0;
+  options.manager.resilience.retry.max_attempts = 1;
+  options.manager.resilience.breaker.cooldown_ticks = 0;
   options.print_stats = true;
   auto report = RunScript(*script);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -682,14 +683,12 @@ TEST(OutageWindowTest, WindowsConsumeDrawsLikeHealthyTrips) {
 struct TopologyRig {
   explicit TopologyRig(ResilienceConfig resilience)
       : injector0(FaultConfig{}), injector1(FaultConfig{}), mgr([&] {
-          TopologyConfig topology;
-          topology.sites = 2;
-          topology.placement["r1"] = 0;
-          topology.placement["r2"] = 1;
-          topology.placement["x2"] = 1;
-          return ConstraintManager({"l", "lx"}, CostModel{}, resilience,
-                                   ParallelConfig{}, RemoteCacheConfig{},
-                                   BudgetConfig{}, topology);
+          ManagerConfig config{.resilience = resilience};
+          config.topology.sites = 2;
+          config.topology.placement["r1"] = 0;
+          config.topology.placement["r2"] = 1;
+          config.topology.placement["x2"] = 1;
+          return ConstraintManager({"l", "lx"}, CostModel{}, config);
         }()) {
     EXPECT_TRUE(mgr.AddConstraint(
                        "a",

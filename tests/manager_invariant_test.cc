@@ -160,8 +160,8 @@ TEST(ManagerInvariantTransactions, AtomicityUnderRandomBatches) {
 std::unique_ptr<ConstraintManager> HeavyRig(size_t chain, BudgetConfig budget,
                                             ResilienceConfig resilience = {}) {
   auto mgr = std::make_unique<ConstraintManager>(
-      std::set<std::string>{"l", "lq"}, CostModel{}, resilience,
-      ParallelConfig{}, RemoteCacheConfig{}, budget);
+      std::set<std::string>{"l", "lq"}, CostModel{},
+      ManagerConfig{.resilience = resilience, .budget = budget});
   EXPECT_TRUE(
       mgr->AddConstraint(
              "fi", MustParse("panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y"))

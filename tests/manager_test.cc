@@ -52,10 +52,7 @@ TEST(ManagerTest, DuplicateConstraintNameIsRejected) {
   // be checked with the first one's compiled tier-3 program and, with the
   // cache on, let the violating insert below through.
   for (bool plan_cache : {true, false}) {
-    ConstraintManager mgr({"l"}, CostModel{}, ResilienceConfig{},
-                          ParallelConfig{}, RemoteCacheConfig{},
-                          BudgetConfig{}, TopologyConfig{},
-                          PlanCacheConfig{plan_cache});
+    ConstraintManager mgr({"l"}, CostModel{}, {.plan_cache = plan_cache});
     ASSERT_TRUE(mgr.AddConstraint("c", MustParse("panic :- l(X) & r(X)")).ok());
     auto again = mgr.AddConstraint("c", MustParse("panic :- l(X) & s(X)"));
     ASSERT_FALSE(again.ok());
@@ -182,10 +179,8 @@ TEST(ManagerTest, AccessAccountingSeparatesSites) {
 
 /// A depth-4 pipelined manager over one local and one remote predicate.
 ConstraintManager MakePipelinedManager(size_t depth) {
-  return ConstraintManager({"l"}, CostModel{}, ResilienceConfig{},
-                           ParallelConfig{2}, RemoteCacheConfig{},
-                           BudgetConfig{}, TopologyConfig{},
-                           PlanCacheConfig{}, PipelineConfig{depth});
+  return ConstraintManager({"l"}, CostModel{},
+                           {.threads = 2, .pipeline = {.depth = depth}});
 }
 
 TEST(ManagerTest, AsyncDrainMatchesApplyUpdate) {

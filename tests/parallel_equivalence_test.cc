@@ -152,10 +152,11 @@ RunResult RunWorkload(uint64_t seed, size_t threads,
                       const std::optional<FaultConfig>& faults,
                       bool cache = true, bool plan_cache = true,
                       size_t depth = 1) {
-  ConstraintManager mgr({"l", "emp"}, CostModel{}, ResilienceConfig{},
-                        ParallelConfig{threads}, RemoteCacheConfig{cache},
-                        BudgetConfig{}, TopologyConfig{},
-                        PlanCacheConfig{plan_cache}, PipelineConfig{depth});
+  ConstraintManager mgr({"l", "emp"}, CostModel{},
+                        {.threads = threads,
+                         .remote_cache = {.enabled = cache},
+                         .plan_cache = plan_cache,
+                         .pipeline = {.depth = depth}});
   std::optional<FaultInjector> injector;
   if (faults.has_value()) {
     injector.emplace(*faults);
@@ -491,8 +492,8 @@ void ExpectSameBudgetStats(const RunResult& seq, const RunResult& par) {
 /// any lane count; the local constraint keeps resolving (and violating)
 /// outside the budget envelope.
 RunResult RunBudgetWorkload(size_t threads, BudgetConfig budget) {
-  ConstraintManager mgr({"lq", "l"}, CostModel{}, ResilienceConfig{},
-                        ParallelConfig{threads}, RemoteCacheConfig{}, budget);
+  ConstraintManager mgr({"lq", "l"}, CostModel{},
+                        {.threads = threads, .budget = budget});
   EXPECT_TRUE(mgr.AddConstraint(
                      "deep1",
                      MustParse("panic :- lq(X) & path(X,Y) & bad(Y)\n"
@@ -622,10 +623,11 @@ RunResult RunTopologyWorkload(uint64_t seed, size_t threads, size_t sites,
   }
   RemoteCacheConfig remote_cache;
   remote_cache.hedge_after = hedge_after;
-  ConstraintManager mgr({"l", "emp"}, CostModel{}, ResilienceConfig{},
-                        ParallelConfig{threads}, remote_cache,
-                        BudgetConfig{}, topology, PlanCacheConfig{},
-                        PipelineConfig{depth});
+  ConstraintManager mgr({"l", "emp"}, CostModel{},
+                        {.threads = threads,
+                         .remote_cache = remote_cache,
+                         .topology = topology,
+                         .pipeline = {.depth = depth}});
   std::vector<std::unique_ptr<FaultInjector>> injectors;
   if (faults.has_value()) {
     for (size_t s = 0; s < sites; ++s) {
@@ -899,10 +901,8 @@ TEST(ParallelEquivalenceTest, MultiSitePipelinedDepthsMatchSerial) {
 /// the serial fallback (depth admissions run unspeculated), and the final
 /// state must still match the serial run byte-for-byte.
 RunResult RunConflictWorkload(size_t depth) {
-  ConstraintManager mgr({"l"}, CostModel{}, ResilienceConfig{},
-                        ParallelConfig{4}, RemoteCacheConfig{},
-                        BudgetConfig{}, TopologyConfig{}, PlanCacheConfig{},
-                        PipelineConfig{depth});
+  ConstraintManager mgr({"l"}, CostModel{},
+                        {.threads = 4, .pipeline = {.depth = depth}});
   EXPECT_TRUE(
       mgr.AddConstraint("ord", MustParse("panic :- l(X,Y) & X > Y")).ok());
   EXPECT_TRUE(

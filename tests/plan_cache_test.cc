@@ -375,9 +375,7 @@ void ExpectIdenticalRuns(const ManagerRun& off, const ManagerRun& on) {
 /// A comparison-free workload (so the tier-1 memo's soundness gate is
 /// open) with heavy pattern repetition across every tier.
 ManagerRun RunPatternWorkload(bool plan_cache) {
-  ConstraintManager mgr({"l", "emp"}, CostModel{}, ResilienceConfig{},
-                        ParallelConfig{}, RemoteCacheConfig{}, BudgetConfig{},
-                        TopologyConfig{}, PlanCacheConfig{plan_cache});
+  ConstraintManager mgr({"l", "emp"}, CostModel{}, {.plan_cache = plan_cache});
   // Two remote-only variables (A, B) put "join" past the Fig 6.1 interval
   // machinery and onto the Theorem 5.3 RA test — the path the template
   // cache compiles.
@@ -436,9 +434,7 @@ TEST(PlanCacheManagerTest, RepeatedRejectedUpdateHitsBoundResultMemo) {
   // must serve the join constraint's RA evaluation from the memo (hits
   // grow) while charging identical reads (access equality is covered by
   // CacheOnMatchesOffWithHits; here we pin the hit itself).
-  ConstraintManager mgr({"l"}, CostModel{}, ResilienceConfig{},
-                        ParallelConfig{}, RemoteCacheConfig{}, BudgetConfig{},
-                        TopologyConfig{}, PlanCacheConfig{true});
+  ConstraintManager mgr({"l"}, CostModel{}, {.plan_cache = true});
   // ICQ-inapplicable (two remote-only variables), so the tier-2 check is
   // the RA test the template cache serves.
   ASSERT_TRUE(
@@ -474,9 +470,7 @@ TEST(PlanCacheManagerTest, RepeatedRejectedUpdateHitsBoundResultMemo) {
 }
 
 TEST(PlanCacheManagerTest, AddConstraintInvalidatesThePatternMemo) {
-  ConstraintManager mgr({"l"}, CostModel{}, ResilienceConfig{},
-                        ParallelConfig{}, RemoteCacheConfig{}, BudgetConfig{},
-                        TopologyConfig{}, PlanCacheConfig{true});
+  ConstraintManager mgr({"l"}, CostModel{}, {.plan_cache = true});
   ASSERT_TRUE(
       mgr.AddConstraint("join", MustParse("panic :- l(X,Y) & r(Y)")).ok());
   // Seed the rows first: deleting an absent tuple is a no-op episode and
@@ -504,9 +498,8 @@ TEST(PlanCacheManagerTest, AddConstraintInvalidatesThePatternMemo) {
 ManagerRun RunBudgetedWorkload(bool plan_cache) {
   BudgetConfig budget;
   budget.per_check.max_fixpoint_rounds = 4;
-  ConstraintManager mgr({"l", "lq", "emp"}, CostModel{}, ResilienceConfig{},
-                        ParallelConfig{}, RemoteCacheConfig{}, budget,
-                        TopologyConfig{}, PlanCacheConfig{plan_cache});
+  ConstraintManager mgr({"l", "lq", "emp"}, CostModel{},
+                        {.plan_cache = plan_cache, .budget = budget});
   EXPECT_TRUE(
       mgr.AddConstraint("join", MustParse("panic :- l(X,Y) & r(Y)")).ok());
   EXPECT_TRUE(mgr.AddConstraint(

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "manager/script.h"
 
 namespace ccpi {
@@ -11,6 +14,15 @@ bool ApplyOk(std::string_view arg, ScriptOptions* options) {
   Status st = ApplyScriptFlag(arg, options, &matched);
   EXPECT_TRUE(st.ok()) << arg << ": " << st.ToString();
   return matched;
+}
+
+/// The value of counter `name` in a metrics dump, or -1 when the dump
+/// has no such counter.
+int64_t CounterIn(const std::string& json, const std::string& name) {
+  const std::string key = "\"" + name + "\": ";
+  size_t at = json.find(key);
+  if (at == std::string::npos) return -1;
+  return std::stoll(json.substr(at + key.size()));
 }
 
 /// Applies one flag expecting a usage error that names the flag.
@@ -116,7 +128,7 @@ TEST(ScriptRunTest, BudgetShedsAreReportedDistinctlyFromDeferrals) {
   auto script = ParseScript(kOverloadScript);
   ASSERT_TRUE(script.ok()) << script.status().ToString();
   ScriptOptions& options = script->options;
-  options.budget.per_check.max_fixpoint_rounds = 1;
+  options.manager.budget.per_check.max_fixpoint_rounds = 1;
   options.print_stats = true;
   auto report = RunScript(*script);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -153,7 +165,7 @@ TEST(ScriptRunTest, QueueCapAloneArmsBudgetReporting) {
   auto script = ParseScript(kOverloadScript);
   ASSERT_TRUE(script.ok());
   ScriptOptions& options = script->options;
-  options.budget.deferred_queue_cap = 4;
+  options.manager.budget.deferred_queue_cap = 4;
   auto report = RunScript(*script);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->budget_armed);
@@ -180,19 +192,19 @@ TEST(ScriptRunTest, SubsumedConstraintReported) {
 TEST(ScriptParseTest, PlanCacheDirective) {
   auto off = ParseScript("plan_cache off\nlocal l\n");
   ASSERT_TRUE(off.ok());
-  EXPECT_FALSE(off->options.plan_cache.enabled);
+  EXPECT_FALSE(off->options.manager.plan_cache);
   auto on = ParseScript("plan_cache on\nlocal l\n");
   ASSERT_TRUE(on.ok());
-  EXPECT_TRUE(on->options.plan_cache.enabled);
+  EXPECT_TRUE(on->options.manager.plan_cache);
   // A later directive overrides an earlier one.
   auto again = ParseScript("plan_cache off\nplan_cache on\n");
   ASSERT_TRUE(again.ok());
-  EXPECT_TRUE(again->options.plan_cache.enabled);
+  EXPECT_TRUE(again->options.manager.plan_cache);
   // Without the directive the script keeps the default (on).
   auto unset = ParseScript("local l\n");
   ASSERT_TRUE(unset.ok());
-  EXPECT_EQ(unset->options.plan_cache.enabled,
-            ScriptOptions{}.plan_cache.enabled);
+  EXPECT_EQ(unset->options.manager.plan_cache,
+            ScriptOptions{}.manager.plan_cache);
 }
 
 TEST(ScriptParseTest, PlanCacheDirectiveRejectsBadValue) {
@@ -236,11 +248,12 @@ TEST(ScriptRunTest, PlanCacheFlagOverridesScriptDirective) {
 TEST(ScriptParseTest, PipelineDirective) {
   auto four = ParseScript("pipeline 4\nlocal l\n");
   ASSERT_TRUE(four.ok());
-  EXPECT_EQ(four->options.pipeline.depth, 4u);
+  EXPECT_EQ(four->options.manager.pipeline.depth, 4u);
   // Without the directive the script keeps the default (1 = serial).
   auto unset = ParseScript("local l\n");
   ASSERT_TRUE(unset.ok());
-  EXPECT_EQ(unset->options.pipeline.depth, ScriptOptions{}.pipeline.depth);
+  EXPECT_EQ(unset->options.manager.pipeline.depth,
+            ScriptOptions{}.manager.pipeline.depth);
 }
 
 TEST(ScriptParseTest, PipelineDirectiveRejectsBadValue) {
@@ -282,8 +295,8 @@ TEST(ScriptRunTest, PipelinedRunMatchesSerialByteForByte) {
 }
 
 TEST(ScriptRunTest, PipelineFlagOverridesScriptDirective) {
-  // The manager.pipeline.* metric family exists exactly when the
-  // *effective* depth is > 1, so the metrics dump observes which knob won.
+  // Only a pipelined run admits episodes through the pipeline, so the
+  // value of manager.pipeline.admitted observes which knob won.
   const char* text =
       "pipeline 4\n"
       "local l\n"
@@ -295,14 +308,15 @@ TEST(ScriptRunTest, PipelineFlagOverridesScriptDirective) {
   script->options.collect_metrics = true;
   auto from_directive = RunScript(*script);
   ASSERT_TRUE(from_directive.ok());
-  EXPECT_NE(from_directive->metrics_json.find("manager.pipeline.admitted"),
-            std::string::npos);
+  EXPECT_GT(CounterIn(from_directive->metrics_json,
+                      "manager.pipeline.admitted"),
+            0);
   // An explicit --pipeline-depth=1 must win over the directive.
   ASSERT_TRUE(ApplyOk("--pipeline-depth=1", &script->options));
   auto from_flag = RunScript(*script);
   ASSERT_TRUE(from_flag.ok());
-  EXPECT_EQ(from_flag->metrics_json.find("manager.pipeline.admitted"),
-            std::string::npos);
+  EXPECT_EQ(CounterIn(from_flag->metrics_json, "manager.pipeline.admitted"),
+            0);
   EXPECT_EQ(from_directive->log_text, from_flag->log_text);
 }
 
@@ -311,19 +325,19 @@ TEST(ScriptRunTest, PipelineFlagOverridesScriptDirective) {
 TEST(ScriptFlagTest, ValidFlagsApply) {
   ScriptOptions options;
   EXPECT_TRUE(ApplyOk("--threads=8", &options));
-  EXPECT_EQ(options.parallel.threads, 8u);
+  EXPECT_EQ(options.manager.threads, 8u);
   EXPECT_TRUE(ApplyOk("--remote-cache=off", &options));
-  EXPECT_FALSE(options.remote_cache.enabled);
+  EXPECT_FALSE(options.manager.remote_cache.enabled);
   EXPECT_TRUE(ApplyOk("--remote-cache=on", &options));
-  EXPECT_TRUE(options.remote_cache.enabled);
-  EXPECT_TRUE(options.plan_cache.enabled);
+  EXPECT_TRUE(options.manager.remote_cache.enabled);
+  EXPECT_TRUE(options.manager.plan_cache);
   EXPECT_TRUE(ApplyOk("--plan-cache=off", &options));
-  EXPECT_FALSE(options.plan_cache.enabled);
+  EXPECT_FALSE(options.manager.plan_cache);
   EXPECT_TRUE(ApplyOk("--plan-cache=on", &options));
-  EXPECT_TRUE(options.plan_cache.enabled);
-  EXPECT_EQ(options.pipeline.depth, 1u);
+  EXPECT_TRUE(options.manager.plan_cache);
+  EXPECT_EQ(options.manager.pipeline.depth, 1u);
   EXPECT_TRUE(ApplyOk("--pipeline-depth=8", &options));
-  EXPECT_EQ(options.pipeline.depth, 8u);
+  EXPECT_EQ(options.manager.pipeline.depth, 8u);
   EXPECT_TRUE(ApplyOk("--fault-rate=0.25", &options));
   EXPECT_DOUBLE_EQ(options.faults.transient_rate, 0.25);
   EXPECT_TRUE(options.enable_faults);
@@ -336,7 +350,7 @@ TEST(ScriptFlagTest, ValidFlagsApply) {
   EXPECT_EQ(options.faults.outages[0].begin, 10u);
   EXPECT_EQ(options.faults.outages[0].end, 25u);
   EXPECT_TRUE(ApplyOk("--fault-reject", &options));
-  EXPECT_EQ(options.resilience.on_unreachable, DeferredPolicy::kReject);
+  EXPECT_EQ(options.manager.resilience.on_unreachable, DeferredPolicy::kReject);
   EXPECT_TRUE(ApplyOk("--stats", &options));
   EXPECT_TRUE(options.print_stats);
 }
@@ -371,7 +385,7 @@ TEST(ScriptFlagTest, DeadlineHasAConstantMaximum) {
   // A deadline near 2^63 ms used to overflow the clock arithmetic.
   ScriptOptions options;
   EXPECT_TRUE(ApplyOk("--deadline-ms=86400000", &options));
-  EXPECT_EQ(options.budget.per_episode.deadline_ms, 86400000u);
+  EXPECT_EQ(options.manager.budget.per_episode.deadline_ms, 86400000u);
   ExpectBadFlag("--deadline-ms=86400001", "--deadline-ms");
   ExpectBadFlag("--deadline-ms=10000000000000", "--deadline-ms");
 }
@@ -381,9 +395,9 @@ TEST(ScriptFlagTest, SitesAndThreadsHaveAConstantMaximum) {
   // abort the process with std::bad_alloc.
   ScriptOptions options;
   EXPECT_TRUE(ApplyOk("--sites=1024", &options));
-  EXPECT_EQ(options.topology.sites, 1024u);
+  EXPECT_EQ(options.manager.topology.sites, 1024u);
   EXPECT_TRUE(ApplyOk("--threads=256", &options));
-  EXPECT_EQ(options.parallel.threads, 256u);
+  EXPECT_EQ(options.manager.threads, 256u);
   ExpectBadFlag("--sites=1025", "--sites");
   ExpectBadFlag("--sites=100000000000", "--sites");
   ExpectBadFlag("--threads=257", "--threads");
@@ -393,7 +407,7 @@ TEST(ScriptFlagTest, SitesAndThreadsHaveAConstantMaximum) {
   Status st = ApplyScriptFlag("--sites=100000000000", &options, &matched);
   EXPECT_NE(st.message().find("at most 1024"), std::string::npos)
       << st.message();
-  EXPECT_EQ(options.topology.sites, 1024u);
+  EXPECT_EQ(options.manager.topology.sites, 1024u);
 }
 
 TEST(ScriptFlagTest, MalformedValueLeavesOptionsUntouched) {
@@ -401,7 +415,7 @@ TEST(ScriptFlagTest, MalformedValueLeavesOptionsUntouched) {
   bool matched = false;
   Status st = ApplyScriptFlag("--threads=abc", &options, &matched);
   EXPECT_FALSE(st.ok());
-  EXPECT_EQ(options.parallel.threads, ScriptOptions{}.parallel.threads);
+  EXPECT_EQ(options.manager.threads, ScriptOptions{}.manager.threads);
 }
 
 TEST(ScriptFlagTest, UnrecognizedFlagsAreNotMatched) {
@@ -415,22 +429,22 @@ TEST(ScriptFlagTest, UnrecognizedFlagsAreNotMatched) {
 
 TEST(ScriptFlagTest, BudgetFlagsApply) {
   ScriptOptions options;
-  EXPECT_FALSE(options.budget.armed());
+  EXPECT_FALSE(options.manager.budget.armed());
   EXPECT_TRUE(ApplyOk("--deadline-ms=750", &options));
-  EXPECT_EQ(options.budget.per_episode.deadline_ms, 750u);
+  EXPECT_EQ(options.manager.budget.per_episode.deadline_ms, 750u);
   EXPECT_TRUE(ApplyOk("--max-fixpoint-rounds=6", &options));
-  EXPECT_EQ(options.budget.per_check.max_fixpoint_rounds, 6u);
+  EXPECT_EQ(options.manager.budget.per_check.max_fixpoint_rounds, 6u);
   EXPECT_TRUE(ApplyOk("--max-derived-tuples=10000", &options));
-  EXPECT_EQ(options.budget.per_check.max_derived_tuples, 10000u);
+  EXPECT_EQ(options.manager.budget.per_check.max_derived_tuples, 10000u);
   EXPECT_TRUE(ApplyOk("--deferred-queue-cap=32", &options));
-  EXPECT_EQ(options.budget.deferred_queue_cap, 32u);
+  EXPECT_EQ(options.manager.budget.deferred_queue_cap, 32u);
   EXPECT_TRUE(ApplyOk("--overflow-policy=shed-oldest", &options));
-  EXPECT_EQ(options.budget.overflow, OverflowPolicy::kShedOldest);
+  EXPECT_EQ(options.manager.budget.overflow, OverflowPolicy::kShedOldest);
   EXPECT_TRUE(ApplyOk("--overflow-policy=block-recheck", &options));
-  EXPECT_EQ(options.budget.overflow, OverflowPolicy::kBlockRecheck);
+  EXPECT_EQ(options.manager.budget.overflow, OverflowPolicy::kBlockRecheck);
   EXPECT_TRUE(ApplyOk("--overflow-policy=reject-update", &options));
-  EXPECT_EQ(options.budget.overflow, OverflowPolicy::kRejectUpdate);
-  EXPECT_TRUE(options.budget.armed());
+  EXPECT_EQ(options.manager.budget.overflow, OverflowPolicy::kRejectUpdate);
+  EXPECT_TRUE(options.manager.budget.armed());
 }
 
 TEST(ScriptFlagTest, MalformedBudgetValuesAreHardErrors) {
@@ -447,7 +461,7 @@ TEST(ScriptFlagTest, MalformedBudgetValuesAreHardErrors) {
   bool matched = false;
   Status st = ApplyScriptFlag("--deadline-ms=abc", &options, &matched);
   EXPECT_FALSE(st.ok());
-  EXPECT_FALSE(options.budget.armed());
+  EXPECT_FALSE(options.manager.budget.armed());
 }
 
 TEST(ScriptFlagTest, ValidateRejectsRateSumAboveOne) {
@@ -476,7 +490,7 @@ TEST(ScriptParseTest, LatencyAndDomainDirectives) {
       "domain_outage rack0 4 10\n"
       "hedge_after 3\n");
   ASSERT_TRUE(script.ok()) << script.status().ToString();
-  const TopologyConfig& t = script->options.topology;
+  const TopologyConfig& t = script->options.manager.topology;
   ASSERT_EQ(t.site_latency.size(), 3u);
   EXPECT_EQ(t.site_latency.at(0).model, LatencyModel::kFixed);
   EXPECT_EQ(t.site_latency.at(0).fixed_us, 250u);
@@ -494,7 +508,7 @@ TEST(ScriptParseTest, LatencyAndDomainDirectives) {
   EXPECT_EQ(t.domains[0].outages[0].begin, 4u);
   EXPECT_EQ(t.domains[0].outages[0].end, 10u);
   EXPECT_TRUE(t.domains[1].outages.empty());
-  EXPECT_EQ(script->options.remote_cache.hedge_after, 3u);
+  EXPECT_EQ(script->options.manager.remote_cache.hedge_after, 3u);
 }
 
 /// Expects ParseScript to fail with a message containing `needle`.
@@ -531,7 +545,7 @@ TEST(ScriptParseTest, LatencyAndDomainDirectivesRejectBadValues) {
 TEST(ScriptParseTest, SitesDirectiveHasAConstantMaximum) {
   auto capped = ParseScript("sites 1024\n");
   ASSERT_TRUE(capped.ok()) << capped.status().ToString();
-  EXPECT_EQ(capped->options.topology.sites, 1024u);
+  EXPECT_EQ(capped->options.manager.topology.sites, 1024u);
   ExpectParseError("local l\nsites 1025\n", "line 2: sites");
   ExpectParseError("local l\nsites 100000000000\n", "at most 1024");
 }
@@ -552,21 +566,24 @@ TEST(ScriptParseTest, DirectivesRejectEmptyAndMisspelledLists) {
 
 TEST(ScriptFlagTest, LatencyAndDomainFlagsApply) {
   ScriptOptions options;
-  EXPECT_TRUE(options.topology.site_latency.empty());
+  EXPECT_TRUE(options.manager.topology.site_latency.empty());
   EXPECT_TRUE(ApplyOk("--site-latency=1:twopoint:100:5000:0.1", &options));
-  ASSERT_EQ(options.topology.site_latency.count(1), 1u);
-  EXPECT_EQ(options.topology.site_latency.at(1).model, LatencyModel::kTwoPoint);
-  EXPECT_EQ(options.topology.site_latency.at(1).lo_us, 100u);
-  EXPECT_EQ(options.topology.site_latency.at(1).hi_us, 5000u);
-  EXPECT_EQ(options.remote_cache.hedge_after, 0u);
+  ASSERT_EQ(options.manager.topology.site_latency.count(1), 1u);
+  EXPECT_EQ(options.manager.topology.site_latency.at(1).model,
+            LatencyModel::kTwoPoint);
+  EXPECT_EQ(options.manager.topology.site_latency.at(1).lo_us, 100u);
+  EXPECT_EQ(options.manager.topology.site_latency.at(1).hi_us, 5000u);
+  EXPECT_EQ(options.manager.remote_cache.hedge_after, 0u);
   EXPECT_TRUE(ApplyOk("--hedge-after=3", &options));
-  EXPECT_EQ(options.remote_cache.hedge_after, 3u);
-  EXPECT_TRUE(options.topology.domains.empty());
+  EXPECT_EQ(options.manager.remote_cache.hedge_after, 3u);
+  EXPECT_TRUE(options.manager.topology.domains.empty());
   EXPECT_TRUE(ApplyOk("--domains=rack0:0+1,rack1:2", &options));
-  ASSERT_EQ(options.topology.domains.size(), 2u);
-  EXPECT_EQ(options.topology.domains[0].name, "rack0");
-  EXPECT_EQ(options.topology.domains[0].members, (std::vector<size_t>{0, 1}));
-  EXPECT_EQ(options.topology.domains[1].members, (std::vector<size_t>{2}));
+  ASSERT_EQ(options.manager.topology.domains.size(), 2u);
+  EXPECT_EQ(options.manager.topology.domains[0].name, "rack0");
+  EXPECT_EQ(options.manager.topology.domains[0].members,
+            (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(options.manager.topology.domains[1].members,
+            (std::vector<size_t>{2}));
   EXPECT_TRUE(ApplyOk("--domain-outage=rack0:4:10", &options));
   ASSERT_EQ(options.domain_outages.count("rack0"), 1u);
   ASSERT_EQ(options.domain_outages.at("rack0").size(), 1u);
@@ -664,7 +681,7 @@ TEST(ScriptRunTest, HedgeFlagOverridesScriptDirective) {
       "fact r(7)\n"
       "insert l(10, 20)\n");
   ASSERT_TRUE(script.ok()) << script.status().ToString();
-  EXPECT_EQ(script->options.remote_cache.hedge_after, 7u);
+  EXPECT_EQ(script->options.manager.remote_cache.hedge_after, 7u);
   Script flagged = *script;
   flagged.options.print_stats = true;
   ASSERT_TRUE(ApplyOk("--hedge-after=0", &flagged.options));
